@@ -1,7 +1,7 @@
 """Command-line interface.
 
-    ctxsat run <file> [--max-iters N] [--materialize-threshold N]
-                      [--json PATH] [--dump-dot PATH --context NAME]
+    ctxsat run <file> [--max-iters N] [--json PATH]
+                      [--dump-dot PATH --context NAME]
     ctxsat compare-assume <file> [--json PATH]
     ctxsat stats <file> --context NAME [--json PATH]
 
@@ -19,7 +19,6 @@ from .assume import assume_encode
 from .dot import export_dot
 from .dsl import execute, parse_program
 from .errors import CtxSatError
-from .views import DEFAULT_MATERIALIZE_THRESHOLD
 
 
 def _write_json(data: dict, path: str | None) -> str:
@@ -31,11 +30,7 @@ def _write_json(data: dict, path: str | None) -> str:
 
 def _cmd_run(args) -> int:
     program = parse_program(Path(args.file).read_text())
-    out = execute(
-        program,
-        max_iterations=args.max_iters,
-        materialize_threshold=args.materialize_threshold,
-    )
+    out = execute(program, max_iterations=args.max_iters)
     for check in out.checks:
         status = "PASS" if check.ok else "FAIL"
         print(f"{status}  {check.name}")
@@ -87,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a program file")
     run_p.add_argument("file")
     run_p.add_argument("--max-iters", type=int, default=None)
-    run_p.add_argument(
-        "--materialize-threshold",
-        type=int,
-        default=DEFAULT_MATERIALIZE_THRESHOLD,
-    )
     run_p.add_argument("--json", dest="json_path", default=None)
     run_p.add_argument("--dump-dot", dest="dot_path", default=None)
     run_p.add_argument("--context", default="bot")

@@ -16,11 +16,10 @@ from .lattice import BOTTOM, ContextId
 
 def export_dot(eg: EGraph, ctx: ContextId = BOTTOM) -> str:
     eg.lattice.check(ctx)
-    grouped = defaultdict(list)
-    for node, cls in sorted(
-        eg.nodes().items(), key=lambda nc: (nc[0].symbol.name, nc[0].children)
-    ):
-        grouped[eg.find(BOTTOM, cls)].append(node)
+    grouped = {
+        cls: sorted(nodes, key=lambda n: (n.symbol.name, n.children))
+        for cls, nodes in eg.classes().items()
+    }
 
     lines = ["digraph egraph {", "  compound=true;", "  node [shape=box];"]
     node_ids = {}

@@ -45,7 +45,6 @@ from .rewrite import (
     RuleScope,
     SaturationReport,
 )
-from .views import DEFAULT_MATERIALIZE_THRESHOLD
 
 # s-expressions
 
@@ -479,7 +478,6 @@ def _term_to_pattern(engine: Engine, t: Term):
 def execute(
     program: Program,
     max_iterations: int | None = None,
-    materialize_threshold: int = DEFAULT_MATERIALIZE_THRESHOLD,
     iteration_hook=None,
 ) -> RunOutput:
     """Run every command in order against a fresh engine.
@@ -487,7 +485,7 @@ def execute(
     `max_iterations`, when given, caps each (run n) directive. Checks are
     evaluated at their position in the program.
     """
-    engine = Engine(materialize_threshold=materialize_threshold)
+    engine = Engine()
     out = RunOutput(engine=engine)
     for idx, cmd in enumerate(program.commands):
         try:

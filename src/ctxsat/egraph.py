@@ -11,6 +11,14 @@ belong to classes equal at c. Contexts are processed bottom-up so that base
 repairs feed contextual ones; congruence unions discovered at c are recorded
 at c, the lowest context that justifies them.
 
+Class index: every bottom root maps to the stored nodes of its bottom class,
+and every stored node sits in exactly one list, its class's. add_node
+appends, a bottom merge moves the loser's list into the winner's, an
+intersection into bottom regroups the lists, and the base rebuild pass,
+which re-keys every node, rebuilds them. A class at a higher context is the
+union of the bottom classes its overlay joins (LayeredUnionFind.class_roots),
+so per-context membership never scans the whole node store.
+
 Single-writer: all mutation goes through one engine thread. Reads between
 mutations (stats, class_nodes, find) are safe to share.
 """
@@ -46,6 +54,11 @@ class ENode:
     children: tuple[ClassId, ...]
 
 
+def node_key(node: ENode):
+    """Deterministic node order: symbol name, arity, then children."""
+    return (node.symbol.name, node.symbol.arity, node.children)
+
+
 @dataclass(frozen=True)
 class Term:
     """A ground tree-shaped term, by symbol name (resolved at intern time)."""
@@ -71,6 +84,8 @@ class EGraph:
         self._arities: dict[str, set[int]] = {}
         # node -> class holding it; keys use bottom-canonical children
         self._nodes: dict[ENode, ClassId] = {}
+        # bottom root -> stored nodes of that class (see module docstring)
+        self._classes: dict[ClassId, list[ENode]] = {}
         # contexts touched since the last rebuild
         self.pending: set[ContextId] = set()
         # bumped on any mutation; lets views cache safely
@@ -132,6 +147,7 @@ class EGraph:
             return self.uf.find(BOTTOM, existing)
         cls = self.uf.make_set()
         self._nodes[node] = cls
+        self._classes[cls] = [node]
         # a new node can collide with old ones under contextual equalities
         self.pending.add(BOTTOM)
         self.version += 1
@@ -147,16 +163,15 @@ class EGraph:
         sym = self.symbol(t.symbol, len(t.children))
         return self.add_node(sym, children)
 
-    def intern_lookup(self, t: Term) -> ClassId:
-        """Class of an already present term; KeyError if any piece is missing."""
-        children = tuple(self.intern_lookup(c) for c in t.children)
-        sym = self.symbol(t.symbol, len(t.children))
-        node = ENode(sym, tuple(self.uf.find(BOTTOM, ch) for ch in children))
-        return self.uf.find(BOTTOM, self._nodes[node])
-
     def merge(self, ctx: ContextId, a: ClassId, b: ClassId) -> ClassId:
         """Union two classes at ctx (visible at every context above)."""
+        if ctx == BOTTOM:
+            ra, rb = self.uf.find(BOTTOM, a), self.uf.find(BOTTOM, b)
         if self.uf.union_new(ctx, a, b):
+            if ctx == BOTTOM:
+                winner = self.uf.find(BOTTOM, ra)
+                loser = rb if winner == ra else ra
+                self._classes[winner].extend(self._classes.pop(loser))
             for c in self.lattice.upset(ctx):
                 self.pending.add(c)
             self.version += 1
@@ -169,6 +184,11 @@ class EGraph:
         """Promote equalities shared by c1 and c2 down to lo."""
         n = self.uf.intersect_into(lo, c1, c2)
         if n:
+            if lo == BOTTOM:
+                regrouped: dict[ClassId, list[ENode]] = {}
+                for root, nodes in self._classes.items():
+                    regrouped.setdefault(self.uf.find(BOTTOM, root), []).extend(nodes)
+                self._classes = regrouped
             for c in self.lattice.upset(lo):
                 self.pending.add(c)
             self.version += 1
@@ -200,6 +220,7 @@ class EGraph:
         repairs = 0
         while True:
             fresh: dict[ENode, ClassId] = {}
+            classes: dict[ClassId, list[ENode]] = {}
             merges: list[tuple[ClassId, ClassId]] = []
             for node, cls in self._nodes.items():
                 canon = self.canonical_node(BOTTOM, node)
@@ -207,9 +228,12 @@ class EGraph:
                 other = fresh.get(canon)
                 if other is None:
                     fresh[canon] = root
+                    classes.setdefault(root, []).append(canon)
                 elif other != root:
                     merges.append((other, root))
+            # exact once no merges follow; otherwise the next pass replaces it
             self._nodes = fresh
+            self._classes = classes
             if not merges:
                 return repairs
             for a, b in merges:
@@ -242,7 +266,7 @@ class EGraph:
     def class_ids(self, ctx: ContextId) -> list[ClassId]:
         """Canonical representatives of every class at ctx, ascending."""
         self.lattice.check(ctx)
-        return sorted({self.uf.find(ctx, c) for c in self._nodes.values()})
+        return sorted({self.uf.find(ctx, root) for root in self._classes})
 
     def class_of_node(self, node: ENode) -> ClassId:
         canon = self.canonical_node(BOTTOM, node)
@@ -254,13 +278,16 @@ class EGraph:
     def nodes(self) -> dict[ENode, ClassId]:
         return self._nodes
 
+    def classes(self) -> dict[ClassId, list[ENode]]:
+        """The class index: bottom root -> stored nodes, as stored. Read-only."""
+        return self._classes
+
     def class_nodes(self, ctx: ContextId, c: ClassId) -> set[ENode]:
         """Deduplicated ctx-canonical nodes of c's class at ctx."""
-        root = self.uf.find(ctx, c)
         return {
             self.canonical_node(ctx, node)
-            for node, cls in self._nodes.items()
-            if self.uf.find(ctx, cls) == root
+            for root in self.uf.class_roots(ctx, c)
+            for node in self._classes[root]
         }
 
     def stats(self, ctx: ContextId) -> tuple[int, int]:

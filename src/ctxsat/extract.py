@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .egraph import ClassId, EGraph, ENode, Term
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import NoFiniteTerm
 from .lattice import ContextId
 from .views import CanonicalView, build_view
@@ -54,12 +54,13 @@ def _node_key(node: ENode):
     return (node.symbol.name, node.children)
 
 
-def _forbidden(forbid) -> set[str]:
+def forbidden_names(forbid) -> set[str]:
+    """Names banned by `forbid`: None, a name or symbol, or an iterable of them."""
     if forbid is None:
         return set()
-    if isinstance(forbid, str):
-        return {forbid}
-    return {getattr(f, "name", f) for f in forbid}
+    if isinstance(forbid, (str, FunctionSymbol)):
+        forbid = (forbid,)
+    return {f.name if isinstance(f, FunctionSymbol) else f for f in forbid}
 
 
 def extract_from_view(
@@ -69,7 +70,7 @@ def extract_from_view(
     forbid=None,
 ) -> ExtractResult:
     model = model or CostModel()
-    banned = _forbidden(forbid)
+    banned = forbidden_names(forbid)
     usable: dict[ClassId, list[ENode]] = {
         c: [n for n in nodes if n.symbol.name not in banned]
         for c, nodes in view.classes.items()

@@ -125,6 +125,18 @@ class LayeredUnionFind:
                     count += 1
         return count
 
+    def class_roots(self, ctx: ContextId, x: NodeId) -> list[NodeId]:
+        """Base roots of x's class at ctx, the ctx representative first.
+
+        A base root other than the representative joins the class only
+        through an overlay link, so scanning ctx's overlay keys suffices:
+        O(delta) finds, independent of the number of ids.
+        """
+        r = self.find(ctx, x)
+        if ctx == BOTTOM:
+            return [r]
+        return [r] + [k for k in list(self._overlay_for(ctx)) if self.find(ctx, k) == r]
+
     def delta_size(self, ctx: ContextId) -> int:
         """Number of contextual links recorded at or below ctx (bottom excluded)."""
         self.lattice.check(ctx)
@@ -180,7 +192,7 @@ class LayeredUnionFind:
         return True
 
     def _overlay_for(self, ctx: ContextId) -> dict[int, int]:
-        self.lattice.check(ctx)
+        # callers have validated ctx
         try:
             return self._overlay[ctx]
         except KeyError:

@@ -29,20 +29,14 @@ intersections at the enclosing branch context rather than at bottom.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
-from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
 from .errors import DuplicateRule, UnboundRhsVariable
-from .extract import CostModel, extract
+from .extract import CostModel, extract, forbidden_names
 from .lattice import BOTTOM, ContextId
-from .views import (
-    DEFAULT_MATERIALIZE_THRESHOLD,
-    Strategy,
-    ViewCache,
-    build_view,
-    provider_for,
-)
+from .views import Strategy, ViewCache, build_view, provider_for
 
 
 @dataclass(frozen=True)
@@ -161,12 +155,10 @@ class Engine:
         self,
         egraph: EGraph | None = None,
         cost_model: CostModel | None = None,
-        materialize_threshold: int = DEFAULT_MATERIALIZE_THRESHOLD,
     ):
         self.eg = egraph or EGraph()
         self.views = ViewCache(self.eg)
         self.cost_model = cost_model or CostModel()
-        self.materialize_threshold = materialize_threshold
         self.rules: list[Rule] = []
         self.conditionals: list[ConditionalScope] = []
         self.lambdas: list[LambdaScope] = []
@@ -226,9 +218,7 @@ class Engine:
         """All (substitution, root class) pairs making the pattern present in
         the ctx-canonical database, deduplicated under find(ctx)."""
         self.eg.lattice.check(ctx)
-        provider = provider_for(
-            self.eg, ctx, self.views, strategy, self.materialize_threshold
-        )
+        provider = provider_for(self.eg, ctx, self.views, strategy)
         results: dict = {}
         for root in provider.class_ids():
             for subst in _match(provider, pattern, root, {}):
@@ -262,12 +252,7 @@ class Engine:
         if not self.conditionals and not self.lambdas:
             return 0
         eg = self.eg
-        members: dict[ClassId, list[ENode]] = defaultdict(list)
-        for node, cls in eg.nodes().items():
-            members[eg.find(BOTTOM, cls)].append(node)
-        for lst in members.values():
-            lst.sort(key=lambda n: (n.symbol.name, n.symbol.arity, n.children))
-
+        members = eg.classes()
         if_syms = {sc.if_sym: sc for sc in self.conditionals}
         app_syms = {sc.app_sym: sc for sc in self.lambdas}
         lam_syms = {sc.lam_sym for sc in self.lambdas}
@@ -292,7 +277,7 @@ class Engine:
             if (gamma, cls) in seen:
                 continue
             seen.add((gamma, cls))
-            for node in members.get(cls, ()):
+            for node in sorted(members[cls], key=node_key):
                 sc = if_syms.get(node.symbol)
                 if sc is not None:
                     cond, then_cls, else_cls = node.children
@@ -354,15 +339,8 @@ class Engine:
 
     def _lambda_nodes(self, fn_cls: ClassId, sc: LambdaScope) -> list[ENode]:
         eg = self.eg
-        root = eg.find(BOTTOM, fn_cls)
-        return sorted(
-            (
-                node
-                for node, cls in eg.nodes().items()
-                if node.symbol == sc.lam_sym and eg.find(BOTTOM, cls) == root
-            ),
-            key=lambda n: n.children,
-        )
+        nodes = eg.classes()[eg.find(BOTTOM, fn_cls)]
+        return sorted((n for n in nodes if n.symbol == sc.lam_sym), key=node_key)
 
     def _assert_scope_merges(self) -> None:
         eg = self.eg
@@ -431,7 +409,7 @@ class Engine:
         Least fixpoint: a class qualifies once one of its canonical nodes is
         allowed and has only qualifying children.
         """
-        forbidden = _forbid_names(forbid)
+        forbidden = forbidden_names(forbid)
         view = build_view(self.eg, ctx)
         root = self.eg.find(ctx, c)
         good: set[ClassId] = set()
@@ -471,12 +449,8 @@ class Engine:
 
     def _binder_names(self, binder_cls: ClassId) -> set[str]:
         eg = self.eg
-        root = eg.find(BOTTOM, binder_cls)
-        return {
-            node.symbol.name
-            for node, cls in eg.nodes().items()
-            if node.symbol.arity == 0 and eg.find(BOTTOM, cls) == root
-        }
+        nodes = eg.classes()[eg.find(BOTTOM, binder_cls)]
+        return {n.symbol.name for n in nodes if n.symbol.arity == 0}
 
     # saturation
 
@@ -542,13 +516,3 @@ def _match(provider, pat: Pattern, cls: ClassId, subst: dict[str, ClassId]):
             if not partial:
                 break
         yield from partial
-
-
-def _forbid_names(forbid) -> set[str]:
-    if forbid is None:
-        return set()
-    if isinstance(forbid, str):
-        return {forbid}
-    if isinstance(forbid, FunctionSymbol):
-        return {forbid.name}
-    return {f.name if isinstance(f, FunctionSymbol) else f for f in forbid}

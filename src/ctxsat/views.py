@@ -16,7 +16,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .egraph import ClassId, EGraph, ENode
+from .egraph import ClassId, EGraph, ENode, node_key
 from .errors import NotBelow
 from .lattice import ContextId
 
@@ -45,12 +45,9 @@ class CanonicalView:
 def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     eg.lattice.check(ctx)
     grouped: dict[ClassId, set[ENode]] = defaultdict(set)
-    for node, cls in eg.nodes().items():
-        grouped[eg.find(ctx, cls)].add(eg.canonical_node(ctx, node))
-    classes = {
-        c: tuple(sorted(ns, key=lambda n: (n.symbol.name, n.symbol.arity, n.children)))
-        for c, ns in grouped.items()
-    }
+    for root, nodes in eg.classes().items():
+        grouped[eg.find(ctx, root)].update(eg.canonical_node(ctx, n) for n in nodes)
+    classes = {c: tuple(sorted(ns, key=node_key)) for c, ns in grouped.items()}
     return CanonicalView(ctx, classes, eg.version)
 
 
@@ -144,15 +141,7 @@ class OnTheFlyProvider:
     def nodes_of(self, c: ClassId) -> tuple[ENode, ...]:
         got = self._memo.get(c)
         if got is None:
-            eg, ctx = self.eg, self.ctx
-            found = {
-                eg.canonical_node(ctx, node)
-                for node, cls in eg.nodes().items()
-                if eg.find(ctx, cls) == c
-            }
-            got = tuple(
-                sorted(found, key=lambda n: (n.symbol.name, n.symbol.arity, n.children))
-            )
+            got = tuple(sorted(self.eg.class_nodes(self.ctx, c), key=node_key))
             self._memo[c] = got
         return got
 
@@ -162,10 +151,9 @@ def provider_for(
     ctx: ContextId,
     views: ViewCache,
     strategy: Strategy | None = None,
-    threshold: int = DEFAULT_MATERIALIZE_THRESHOLD,
 ):
     if strategy is None:
-        strategy = choose_strategy(eg, ctx, threshold)
+        strategy = choose_strategy(eg, ctx)
     if strategy is Strategy.MATERIALIZED:
         return MaterializedProvider(views.get(ctx))
     return OnTheFlyProvider(eg, ctx)

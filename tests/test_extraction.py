@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ctxsat import BOTTOM, CostModel, EGraph, Term, extract, term
+from ctxsat import BOTTOM, CostModel, EGraph, Engine, Term, extract, term
 from ctxsat.errors import NoFiniteTerm
 
 
@@ -113,10 +113,18 @@ def test_forbid_blocks_symbol_and_its_wrappers():
     eg.merge(body_ctx, eg.intern(term("var", term("x"))), eg.intern(term("2")))
     eg.merge(body_ctx, body, eg.intern(term("3")))
     eg.rebuild()
-    res = extract(eg, body_ctx, body, forbid="x")
-    assert not term_mentions(res.term, "x")
-    assert not term_mentions(res.term, "var")
-    assert str(res.term) == "3"
+    eng = Engine(eg)
+    x = eg.symbol("x", 0)
+    # one normalizer: a name, a symbol, or an iterable of either
+    for forbid in ("x", x, ["x"], (x,), {x, "var"}):
+        res = extract(eg, body_ctx, body, forbid=forbid)
+        assert not term_mentions(res.term, "x")
+        assert not term_mentions(res.term, "var")
+        assert str(res.term) == "3"
+        assert eng.avoidable(body_ctx, body, forbid)
+        with pytest.raises(NoFiniteTerm):
+            extract(eg, BOTTOM, body, forbid=forbid)
+        assert not eng.avoidable(BOTTOM, body, forbid)
 
 
 def test_no_finite_term_when_forbid_blocks_everything():

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 from ctxsat import (
     BOTTOM,
@@ -13,7 +14,9 @@ from ctxsat import (
 )
 import pytest
 
+from ctxsat.egraph import node_key
 from ctxsat.errors import NotBelow
+from ctxsat.views import MaterializedProvider, OnTheFlyProvider
 
 from test_egraph import random_egraph
 from test_rewrite import match_set, random_pattern
@@ -134,3 +137,46 @@ def test_strategies_agree_on_random_graphs():
                 assert match_set(eng, ctx, pat, Strategy.MATERIALIZED) == match_set(
                     eng, ctx, pat, Strategy.ON_THE_FLY
                 )
+
+
+def mutate(eg, rng, kind):
+    """One mutation that changes the class index; no rebuild() follows."""
+    classes = list(eg.nodes().values())
+    if kind == "bottom-merge":
+        eg.merge(BOTTOM, rng.choice(classes), rng.choice(classes))
+    elif kind == "intersect-at-bottom":
+        # intersecting a context with itself promotes all of its equalities
+        c = max(eg.lattice.ids())
+        eg.merge(c, rng.choice(classes), rng.choice(classes))
+        eg.intersect_into(BOTTOM, c, c)
+    else:
+        # a fresh symbol makes the node new; its child id may be stale
+        eg.add_node(eg.declare_function("g", 1), (rng.choice(classes),))
+
+
+@pytest.mark.parametrize("kind", ["bottom-merge", "intersect-at-bottom", "add-node"])
+def test_class_index_matches_scan_without_rebuild(kind):
+    changed = 0
+    for seed in range(150):
+        eg, _, _ = random_egraph(seed + 7000)
+        if seed % 2:
+            eg.rebuild()
+        before = len(eg.classes())
+        mutate(eg, random.Random(seed), kind)
+        changed += len(eg.classes()) != before
+        for ctx in eg.lattice.ids():
+            scan = defaultdict(set)
+            for node, cls in eg.nodes().items():
+                scan[eg.find(ctx, cls)].add(eg.canonical_node(ctx, node))
+            assert eg.class_ids(ctx) == sorted(scan), f"seed={seed}"
+            for c in range(len(eg.uf)):
+                assert eg.class_nodes(ctx, c) == scan[eg.find(ctx, c)], f"seed={seed}"
+            want = {c: tuple(sorted(ns, key=node_key)) for c, ns in scan.items()}
+            for provider in (
+                MaterializedProvider(build_view(eg, ctx)),
+                OnTheFlyProvider(eg, ctx),
+            ):
+                assert provider.class_ids() == sorted(want), f"seed={seed}"
+                got = {c: provider.nodes_of(c) for c in want}
+                assert got == want, f"seed={seed}"
+    assert changed >= 50
