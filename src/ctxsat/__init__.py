@@ -28,7 +28,6 @@ from .views import (
     Strategy,
     ViewCache,
     build_view,
-    choose_strategy,
     qmap,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "Term",
     "ViewCache",
     "build_view",
-    "choose_strategy",
     "extract",
     "qmap",
     "term",

@@ -73,6 +73,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _iteration_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxsat", description="contextual equality saturation"
@@ -81,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a program file")
     run_p.add_argument("file")
-    run_p.add_argument("--max-iters", type=int, default=None)
+    run_p.add_argument("--max-iters", type=_iteration_cap, default=None)
     run_p.add_argument("--json", dest="json_path", default=None)
     run_p.add_argument("--dump-dot", dest="dot_path", default=None)
     run_p.add_argument("--context", default="bot")
@@ -111,6 +121,9 @@ def main(argv=None) -> int:
         return 2
     except CtxSatError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError as e:
+        print(f"error: input nested too deeply ({e})", file=sys.stderr)
         return 2
 
 

@@ -197,22 +197,18 @@ class EGraph:
     # congruence maintenance
 
     def rebuild(self) -> int:
-        """Restore per-context congruence; returns the number of repairs."""
+        """Restore per-context congruence; returns the number of repairs.
+
+        One bottom-up sweep reaches the fixpoint: only the base pass changes
+        the bottom relation, a pass at ctx writes unions only into the upset
+        of ctx, and topo_order puts that upset after ctx.
+        """
         if not self.pending:
             return 0
-        repairs = 0
-        changed = True
-        while changed:
-            changed = False
-            r = self._rebuild_base()
-            repairs += r
-            changed |= r > 0
-            for ctx in self.lattice.topo_order():
-                if ctx == BOTTOM:
-                    continue
-                r = self._congruence_pass(ctx)
-                repairs += r
-                changed |= r > 0
+        repairs = self._rebuild_base()
+        for ctx in self.lattice.topo_order():
+            if ctx != BOTTOM:
+                repairs += self._congruence_pass(ctx)
         self.pending.clear()
         return repairs
 

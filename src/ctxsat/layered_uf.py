@@ -38,7 +38,7 @@ class LayeredUnionFind:
         self.lattice = lattice
         self._parent: list[int] = []
         self._overlay: dict[ContextId, dict[int, int]] = {}
-        # successful unions per recording context, for reports and strategy choice
+        # successful unions per recording context, for reports and saturation checks
         self.unions_at: dict[ContextId, int] = defaultdict(int)
         for c in lattice.ids():
             if c != BOTTOM:
@@ -136,13 +136,6 @@ class LayeredUnionFind:
         if ctx == BOTTOM:
             return [r]
         return [r] + [k for k in list(self._overlay_for(ctx)) if self.find(ctx, k) == r]
-
-    def delta_size(self, ctx: ContextId) -> int:
-        """Number of contextual links recorded at or below ctx (bottom excluded)."""
-        self.lattice.check(ctx)
-        if ctx == BOTTOM:
-            return 0
-        return len(self._overlay_for(ctx))
 
     def total_unions(self) -> int:
         return sum(self.unions_at.values())

@@ -36,7 +36,7 @@ from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
 from .errors import DuplicateRule, UnboundRhsVariable
 from .extract import CostModel, extract, forbidden_names
 from .lattice import BOTTOM, ContextId
-from .views import Strategy, ViewCache, build_view, provider_for
+from .views import OnTheFlyProvider, Strategy, ViewCache, build_view
 
 
 @dataclass(frozen=True)
@@ -216,12 +216,18 @@ class Engine:
         strategy: Strategy | None = None,
     ) -> list[tuple[dict[str, ClassId], ClassId]]:
         """All (substitution, root class) pairs making the pattern present in
-        the ctx-canonical database, deduplicated under find(ctx)."""
+        the ctx-canonical database, deduplicated under find(ctx).
+
+        The database is the cached view of ctx; Strategy.ON_THE_FLY reads the
+        reference provider instead, so tests can compare the two."""
         self.eg.lattice.check(ctx)
-        provider = provider_for(self.eg, ctx, self.views, strategy)
+        if strategy is Strategy.ON_THE_FLY:
+            db = OnTheFlyProvider(self.eg, ctx)
+        else:
+            db = self.views.get(ctx)
         results: dict = {}
-        for root in provider.class_ids():
-            for subst in _match(provider, pattern, root, {}):
+        for root in db.class_ids():
+            for subst in _match(db, pattern, root, {}):
                 key = (root, tuple(sorted(subst.items())))
                 results[key] = (subst, root)
         return [results[k] for k in sorted(results)]
@@ -495,7 +501,7 @@ class Engine:
         return report
 
 
-def _match(provider, pat: Pattern, cls: ClassId, subst: dict[str, ClassId]):
+def _match(db, pat: Pattern, cls: ClassId, subst: dict[str, ClassId]):
     if isinstance(pat, PatternVar):
         bound = subst.get(pat.name)
         if bound is None:
@@ -505,13 +511,13 @@ def _match(provider, pat: Pattern, cls: ClassId, subst: dict[str, ClassId]):
         elif bound == cls:
             yield subst
         return
-    for node in provider.nodes_of(cls):
+    for node in db.nodes_of(cls):
         if node.symbol != pat.symbol:
             continue
         partial = [subst]
         for sub_pat, child in zip(pat.args, node.children):
             partial = [
-                s2 for s1 in partial for s2 in _match(provider, sub_pat, child, s1)
+                s2 for s1 in partial for s2 in _match(db, sub_pat, child, s1)
             ]
             if not partial:
                 break

@@ -5,9 +5,10 @@ representative in that context and deduplicates the resulting nodes. Views of
 coarser contexts are never larger than views of finer ones, and the factoring
 map between the two quotients is total and well defined.
 
-E-matching can either run against a materialized (cached) view, trading space
-for time, or canonicalize on the fly per query. Both yield identical match
-sets; the choice is driven by how many contextual links a context carries.
+E-matching reads the cached view of a context, rebuilt only after the graph
+changes. `OnTheFlyProvider` canonicalizes per query instead; it is the
+reference implementation that tests compare the cached view against, and no
+engine path uses it.
 """
 
 from __future__ import annotations
@@ -90,38 +91,11 @@ def qmap(eg: EGraph, fine: ContextId, coarse: ContextId) -> QMap:
 
 
 class Strategy(enum.Enum):
+    """Which database `Engine.ematch` reads; the engine itself always uses
+    MATERIALIZED, and ON_THE_FLY selects the reference provider."""
+
     MATERIALIZED = "materialized"
     ON_THE_FLY = "on-the-fly"
-
-
-DEFAULT_MATERIALIZE_THRESHOLD = 16
-
-
-def choose_strategy(
-    eg: EGraph, ctx: ContextId, threshold: int = DEFAULT_MATERIALIZE_THRESHOLD
-) -> Strategy:
-    """Materialize once a context carries at least `threshold` contextual links.
-
-    Many contextual equalities make the on-the-fly join expensive, so the
-    cached canonical copy pays off; a context with few extra equalities is
-    cheaper to canonicalize per query. Threshold 0 always materializes.
-    """
-    if eg.uf.delta_size(ctx) >= threshold:
-        return Strategy.MATERIALIZED
-    return Strategy.ON_THE_FLY
-
-
-class MaterializedProvider:
-    """Serves e-matching from a cached snapshot."""
-
-    def __init__(self, view: CanonicalView):
-        self.view = view
-
-    def class_ids(self) -> list[ClassId]:
-        return self.view.class_ids()
-
-    def nodes_of(self, c: ClassId) -> tuple[ENode, ...]:
-        return self.view.nodes_of(c)
 
 
 class OnTheFlyProvider:
@@ -144,16 +118,3 @@ class OnTheFlyProvider:
             got = tuple(sorted(self.eg.class_nodes(self.ctx, c), key=node_key))
             self._memo[c] = got
         return got
-
-
-def provider_for(
-    eg: EGraph,
-    ctx: ContextId,
-    views: ViewCache,
-    strategy: Strategy | None = None,
-):
-    if strategy is None:
-        strategy = choose_strategy(eg, ctx)
-    if strategy is Strategy.MATERIALIZED:
-        return MaterializedProvider(views.get(ctx))
-    return OnTheFlyProvider(eg, ctx)

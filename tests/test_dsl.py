@@ -142,11 +142,24 @@ def test_cli_run_pass_and_fail(tmp_path):
 
 
 def test_cli_parse_error_exit_code(tmp_path):
-    bad = tmp_path / "syntax.ctx"
-    bad.write_text("(term (f a)\n")
-    res = cli("run", str(bad))
+    deep = "(f " * 1500 + "a" + ")" * 1500
+    for source in [
+        "(term (f a)\n",
+        f"(function f 1) (function a 0) (term {deep})\n",
+    ]:
+        bad = tmp_path / "bad.ctx"
+        bad.write_text(source)
+        res = cli("run", str(bad))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error")
+        assert "Traceback" not in res.stderr
+
+
+def test_cli_rejects_negative_max_iters():
+    res = cli("run", str(corpus_path("intro")), "--max-iters", "-3")
     assert res.returncode == 2
-    assert "error" in res.stderr
+    assert "--max-iters" in res.stderr and "usage" in res.stderr
+    assert cli("run", str(corpus_path("intro")), "--max-iters", "2").returncode == 0
 
 
 def test_cli_json_and_dot_outputs(tmp_path):

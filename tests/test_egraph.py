@@ -201,9 +201,15 @@ def random_egraph(seed, max_nodes=20, max_ctx=4):
 
 
 def test_congruence_matches_naive_fixpoint():
-    for seed in range(220):
-        eg, merges, node_list = random_egraph(seed)
+    inputs = [(seed, 20, 4) for seed in range(220)]
+    inputs += [(seed + 11000, 30, 6) for seed in range(600)]
+    inputs += [(seed + 12000, 40, 8) for seed in range(200)]
+    for seed, max_nodes, max_ctx in inputs:
+        eg, merges, node_list = random_egraph(seed, max_nodes, max_ctx)
         eg.rebuild()
+        # one bottom-up sweep is already a fixpoint
+        eg.pending.add(BOTTOM)
+        assert eg.rebuild() == 0, f"seed={seed}"
         oracle = naive_contextual_congruence(
             eg.lattice, node_list, len(eg.uf), merges
         )

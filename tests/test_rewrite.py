@@ -133,6 +133,7 @@ def test_ematch_matches_brute_force_enumeration():
                 got = eng.ematch(ctx, pat, Strategy.MATERIALIZED)
                 # complete, and each assignment exactly once
                 assert len(got) == len(expected)
+                assert match_set(eng, ctx, pat) == expected
                 assert match_set(eng, ctx, pat, Strategy.MATERIALIZED) == expected
                 assert match_set(eng, ctx, pat, Strategy.ON_THE_FLY) == expected
 

@@ -8,7 +8,6 @@ from ctxsat import (
     Strategy,
     ViewCache,
     build_view,
-    choose_strategy,
     qmap,
     term,
 )
@@ -16,7 +15,7 @@ import pytest
 
 from ctxsat.egraph import node_key
 from ctxsat.errors import NotBelow
-from ctxsat.views import MaterializedProvider, OnTheFlyProvider
+from ctxsat.views import OnTheFlyProvider
 
 from test_egraph import random_egraph
 from test_rewrite import match_set, random_pattern
@@ -112,18 +111,6 @@ def test_qmap_well_defined_on_random_graphs():
                 assert len(set(q.mapping.values())) <= len(q.mapping)
 
 
-def test_choose_strategy_thresholds():
-    eg, then, gt, true = branch_graph()
-    # one contextual union recorded at then
-    assert choose_strategy(eg, then, threshold=0) is Strategy.MATERIALIZED
-    assert choose_strategy(eg, BOTTOM, threshold=0) is Strategy.MATERIALIZED
-    assert choose_strategy(eg, then, threshold=1) is Strategy.MATERIALIZED
-    assert choose_strategy(eg, then, threshold=2) is Strategy.ON_THE_FLY
-    fresh = EGraph()
-    c = fresh.declare_context("c", {BOTTOM})
-    assert choose_strategy(fresh, c) is Strategy.ON_THE_FLY
-
-
 def test_strategies_agree_on_random_graphs():
     for seed in range(60):
         eg, _, _ = random_egraph(seed + 3000, max_nodes=14, max_ctx=3)
@@ -172,10 +159,7 @@ def test_class_index_matches_scan_without_rebuild(kind):
             for c in range(len(eg.uf)):
                 assert eg.class_nodes(ctx, c) == scan[eg.find(ctx, c)], f"seed={seed}"
             want = {c: tuple(sorted(ns, key=node_key)) for c, ns in scan.items()}
-            for provider in (
-                MaterializedProvider(build_view(eg, ctx)),
-                OnTheFlyProvider(eg, ctx),
-            ):
+            for provider in (build_view(eg, ctx), OnTheFlyProvider(eg, ctx)):
                 assert provider.class_ids() == sorted(want), f"seed={seed}"
                 got = {c: provider.nodes_of(c) for c in want}
                 assert got == want, f"seed={seed}"
