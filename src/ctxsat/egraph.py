@@ -7,14 +7,17 @@ preservation, every context above it).
 
 rebuild() restores congruence separately in every context: after it returns,
 any two stored nodes with the same symbol and children equal at context c
-belong to classes equal at c. Contexts are processed bottom-up so that base
-repairs feed contextual ones; congruence unions discovered at c are recorded
-at c, the lowest context that justifies them.
+belong to classes equal at c. `pending` holds the contexts mutated since the
+last rebuild (a merge or intersection records its own context, add_node
+records bottom, declare_context the new context); only the upward closure of
+those contexts can have lost congruence, and rebuild repairs exactly that
+closure, bottom-up, so base repairs feed contextual ones. Congruence unions
+discovered at c are recorded at c, the lowest context that justifies them.
 
 Class index: every bottom root maps to the stored nodes of its bottom class,
 and every stored node sits in exactly one list, its class's. add_node
 appends, a bottom merge moves the loser's list into the winner's, an
-intersection into bottom regroups the lists, and the base rebuild pass,
+intersection into bottom regroups the lists, and the bottom repair pass,
 which re-keys every node, rebuilds them. A class at a higher context is the
 union of the bottom classes its overlay joins (LayeredUnionFind.class_roots),
 so per-context membership never scans the whole node store.
@@ -86,7 +89,7 @@ class EGraph:
         self._nodes: dict[ENode, ClassId] = {}
         # bottom root -> stored nodes of that class (see module docstring)
         self._classes: dict[ClassId, list[ENode]] = {}
-        # contexts touched since the last rebuild
+        # contexts mutated since the last rebuild (not their upsets)
         self.pending: set[ContextId] = set()
         # bumped on any mutation; lets views cache safely
         self.version = 0
@@ -121,6 +124,8 @@ class EGraph:
     def declare_context(self, name: str, covers: set[ContextId]) -> ContextId:
         cid = self.lattice.declare_context(name, covers)
         self.uf.register_context(cid)
+        # the covers' relations join without congruence between them
+        self.pending.add(cid)
         self.version += 1
         return cid
 
@@ -172,8 +177,7 @@ class EGraph:
                 winner = self.uf.find(BOTTOM, ra)
                 loser = rb if winner == ra else ra
                 self._classes[winner].extend(self._classes.pop(loser))
-            for c in self.lattice.upset(ctx):
-                self.pending.add(c)
+            self.pending.add(ctx)
             self.version += 1
         return self.uf.find(ctx, a)
 
@@ -189,8 +193,7 @@ class EGraph:
                 for root, nodes in self._classes.items():
                     regrouped.setdefault(self.uf.find(BOTTOM, root), []).extend(nodes)
                 self._classes = regrouped
-            for c in self.lattice.upset(lo):
-                self.pending.add(c)
+            self.pending.add(lo)
             self.version += 1
         return n
 
@@ -199,57 +202,45 @@ class EGraph:
     def rebuild(self) -> int:
         """Restore per-context congruence; returns the number of repairs.
 
-        One bottom-up sweep reaches the fixpoint: only the base pass changes
-        the bottom relation, a pass at ctx writes unions only into the upset
-        of ctx, and topo_order puts that upset after ctx.
+        Repairs the upward closure of `pending` in one bottom-up sweep, which
+        reaches the fixpoint: only the bottom pass changes the bottom
+        relation, a pass at ctx writes unions only into the upset of ctx, and
+        topo_order puts that upset after ctx. A context outside the closure
+        is unchanged since the last rebuild left it congruent.
         """
         if not self.pending:
             return 0
-        repairs = self._rebuild_base()
-        for ctx in self.lattice.topo_order():
-            if ctx != BOTTOM:
-                repairs += self._congruence_pass(ctx)
+        dirty = set().union(*(self.lattice.upset(c) for c in self.pending))
+        repairs = sum(
+            self._repair(ctx) for ctx in self.lattice.topo_order() if ctx in dirty
+        )
         self.pending.clear()
         return repairs
 
-    def _rebuild_base(self) -> int:
-        repairs = 0
-        while True:
-            fresh: dict[ENode, ClassId] = {}
-            classes: dict[ClassId, list[ENode]] = {}
-            merges: list[tuple[ClassId, ClassId]] = []
-            for node, cls in self._nodes.items():
-                canon = self.canonical_node(BOTTOM, node)
-                root = self.uf.find(BOTTOM, cls)
-                other = fresh.get(canon)
-                if other is None:
-                    fresh[canon] = root
-                    classes.setdefault(root, []).append(canon)
-                elif other != root:
-                    merges.append((other, root))
-            # exact once no merges follow; otherwise the next pass replaces it
-            self._nodes = fresh
-            self._classes = classes
-            if not merges:
-                return repairs
-            for a, b in merges:
-                if self.uf.union_new(BOTTOM, a, b):
-                    repairs += 1
-            self.version += 1
-
-    def _congruence_pass(self, ctx: ContextId) -> int:
+    def _repair(self, ctx: ContextId) -> int:
+        """Congruence closure at ctx: merge classes whose nodes canonicalize
+        alike, until none do. At bottom it also re-keys the node store and
+        the class index by the canonical nodes."""
         repairs = 0
         while True:
             sig: dict[ENode, ClassId] = {}
             merges: list[tuple[ClassId, ClassId]] = []
-            for node, cls in self._nodes.items():
-                canon = self.canonical_node(ctx, node)
-                root = self.uf.find(ctx, cls)
-                other = sig.get(canon)
-                if other is None:
-                    sig[canon] = root
-                elif other != root:
-                    merges.append((other, root))
+            for root, nodes in self._classes.items():
+                cls = self.uf.find(ctx, root)
+                for node in nodes:
+                    canon = self.canonical_node(ctx, node)
+                    other = sig.get(canon)
+                    if other is None:
+                        sig[canon] = cls
+                    elif other != cls:
+                        merges.append((other, cls))
+            if ctx == BOTTOM:
+                # exact once no merges follow; otherwise the next pass replaces it
+                classes: dict[ClassId, list[ENode]] = {}
+                for canon, cls in sig.items():
+                    classes.setdefault(cls, []).append(canon)
+                self._nodes = sig
+                self._classes = classes
             if not merges:
                 return repairs
             for a, b in merges:

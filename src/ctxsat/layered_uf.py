@@ -51,8 +51,10 @@ class LayeredUnionFind:
         """Initialize a freshly declared context from its covers' relations."""
         if ctx in self._overlay or ctx == BOTTOM:
             return
+        # validates ctx before anything is written for it
+        covers = self.lattice.covers(ctx)
         self._overlay[ctx] = {}
-        for cover in self.lattice.covers(ctx):
+        for cover in covers:
             if cover == BOTTOM:
                 continue
             for k, v in list(self._overlay[cover].items()):
@@ -65,7 +67,6 @@ class LayeredUnionFind:
 
     def find(self, ctx: ContextId, x: NodeId) -> NodeId:
         self._check_node(x)
-        self.lattice.check(ctx)
         r = self._base_find(x)
         if ctx == BOTTOM:
             return r
@@ -185,7 +186,7 @@ class LayeredUnionFind:
         return True
 
     def _overlay_for(self, ctx: ContextId) -> dict[int, int]:
-        # callers have validated ctx
+        # an id with no overlay yet is validated by register_context
         try:
             return self._overlay[ctx]
         except KeyError:

@@ -30,7 +30,7 @@ intersections at the enclosing branch context rather than at bottom.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
 from .errors import DuplicateRule, UnboundRhsVariable
@@ -124,9 +124,6 @@ class _CondInstance:
     cond: ClassId
     then_ctx: ContextId
     else_ctx: ContextId
-    construct: ConditionalScope
-    # every (conditional class, then body, else body) sharing this condition
-    branches: list[tuple[ClassId, ClassId, ClassId]] = field(default_factory=list)
 
 
 @dataclass
@@ -143,8 +140,6 @@ class _LambdaInstance:
 class SaturationReport:
     iterations: int = 0
     rule_applications: int = 0
-    new_classes: int = 0
-    new_unions_per_context: dict[str, int] = field(default_factory=dict)
     saturated: bool = False
 
 
@@ -251,9 +246,16 @@ class Engine:
     def apply_scopes(self) -> int:
         """Walk occurrences from the roots, instantiating scope constructs.
 
-        Returns the number of new scope instances. Existing instances get
-        their defining merges re-asserted (no-ops once established), which
-        also picks up members that have joined the relevant classes since.
+        Returns the number of new scope instances. A conditional instance
+        assumes its condition in its branch contexts when it is created, so
+        the walk never enters a branch that does not know its condition; a
+        condition assumed on the enclosing context chain counts as decided.
+        Every conditional or application the walk meets is equated with its
+        branch body, or its variable bound, in the instance's contexts right
+        then; nothing is re-asserted afterwards. These merges are never at
+        bottom, so the class index the walk reads stays valid; the merges of
+        decided conditionals are at the walk's own context, possibly bottom,
+        and wait until the walk is done.
         """
         if not self.conditionals and not self.lambdas:
             return 0
@@ -303,13 +305,14 @@ class Engine:
                     if inst is None:
                         then_ctx = self._fresh_context(gamma, "then")
                         else_ctx = self._fresh_context(gamma, "else")
-                        inst = _CondInstance(gamma, cond, then_ctx, else_ctx, sc)
+                        eg.merge(then_ctx, cond, true_cls)
+                        eg.merge(else_ctx, cond, false_cls)
+                        inst = _CondInstance(gamma, cond, then_ctx, else_ctx)
                         cond_keys[key] = inst
                         self._cond_instances.append(inst)
                         new_instances += 1
-                    branch = (cls, then_cls, else_cls)
-                    if branch not in inst.branches:
-                        inst.branches.append(branch)
+                    eg.merge(inst.then_ctx, cls, then_cls)
+                    eg.merge(inst.else_ctx, cls, else_cls)
                     work.append((inst.then_ctx, then_cls))
                     work.append((inst.else_ctx, else_cls))
                     continue
@@ -328,6 +331,9 @@ class Engine:
                         lam_keys[key] = inst
                         self._lambda_instances.append(inst)
                         new_instances += 1
+                    for lam_node in self._lambda_nodes(inst.fn_class, sc):
+                        var_cls = eg.add_node(sc.var_sym, (lam_node.children[0],))
+                        eg.merge(inst.body_ctx, var_cls, inst.value_class)
                     for lam_node in self._lambda_nodes(fn_cls, sc):
                         work.append((inst.body_ctx, lam_node.children[1]))
                     continue
@@ -339,7 +345,6 @@ class Engine:
 
         for gamma, a, b in deferred_merges:
             self.eg.merge(gamma, a, b)
-        self._assert_scope_merges()
         self._reflect_equalities()
         return new_instances
 
@@ -347,24 +352,6 @@ class Engine:
         eg = self.eg
         nodes = eg.classes()[eg.find(BOTTOM, fn_cls)]
         return sorted((n for n in nodes if n.symbol == sc.lam_sym), key=node_key)
-
-    def _assert_scope_merges(self) -> None:
-        eg = self.eg
-        for inst in self._cond_instances:
-            sc = inst.construct
-            true_cls = eg.class_of_node(ENode(sc.true_sym, ()))
-            false_cls = eg.class_of_node(ENode(sc.false_sym, ()))
-            eg.merge(inst.then_ctx, inst.cond, true_cls)
-            eg.merge(inst.else_ctx, inst.cond, false_cls)
-            for if_cls, then_cls, else_cls in inst.branches:
-                eg.merge(inst.then_ctx, if_cls, then_cls)
-                eg.merge(inst.else_ctx, if_cls, else_cls)
-        for inst in self._lambda_instances:
-            sc = inst.construct
-            for lam_node in self._lambda_nodes(inst.fn_class, sc):
-                binder_cls = lam_node.children[0]
-                var_cls = eg.add_node(sc.var_sym, (binder_cls,))
-                eg.merge(inst.body_ctx, var_cls, inst.value_class)
 
     def _reflect_equalities(self) -> None:
         """In any context where an equality node is proven true, merge its
@@ -465,8 +452,6 @@ class Engine:
         lifting until nothing changes or the cap is hit."""
         report = SaturationReport()
         eg = self.eg
-        start_classes = len(eg.uf)
-        start_unions = dict(eg.uf.unions_at)
         for _ in range(max_iterations):
             before_ids = len(eg.uf)
             before_unions = eg.uf.total_unions()
@@ -492,12 +477,6 @@ class Engine:
             ):
                 report.saturated = True
                 break
-        report.new_classes = len(eg.uf) - start_classes
-        report.new_unions_per_context = {
-            self.eg.lattice.name(c): eg.uf.unions_at[c] - start_unions.get(c, 0)
-            for c in sorted(eg.uf.unions_at)
-            if eg.uf.unions_at[c] != start_unions.get(c, 0)
-        }
         return report
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ctxsat.egraph import EGraph, term
-from ctxsat.errors import ArityMismatch, DuplicateSymbol, UnknownSymbol
+from ctxsat.errors import ArityMismatch, DuplicateSymbol, NotALattice, UnknownSymbol
 from ctxsat.lattice import BOTTOM, ContextLattice
 
 from oracles import blocks_to_pairs, naive_contextual_congruence
@@ -158,8 +158,6 @@ def test_term_in_class():
 
 
 def random_lattice(rng, max_ctx):
-    from ctxsat.errors import NotALattice
-
     lat = ContextLattice()
     for i in range(rng.randint(0, max_ctx - 1)):
         existing = list(lat.ids())
@@ -227,3 +225,81 @@ def test_equalities_never_lost_by_rebuild():
         eg.rebuild()
         for ctx in eg.lattice.ids():
             assert before[ctx] <= blocks_to_pairs(eg.uf.partition(ctx))
+
+
+def test_context_declared_over_two_covers_after_unions_is_congruent():
+    # x = z holds at A and z = y at B; only C, declared later above both,
+    # sees x = y, and so f(x) = f(y) by congruence
+    eg = EGraph()
+    a = eg.declare_context("A", {BOTTOM})
+    b = eg.declare_context("B", {BOTTOM})
+    for name, arity in [("x", 0), ("y", 0), ("z", 0), ("f", 1)]:
+        eg.declare_function(name, arity)
+    fx = eg.intern(term("f", term("x")))
+    fy = eg.intern(term("f", term("y")))
+    z = eg.intern(term("z"))
+    eg.merge(a, eg.intern(term("x")), z)
+    eg.merge(b, z, eg.intern(term("y")))
+    eg.rebuild()
+    c = eg.declare_context("C", {a, b})
+    eg.rebuild()
+    assert eg.equiv(c, fx, fy)
+    assert not eg.equiv(a, fx, fy) and not eg.equiv(b, fx, fy)
+
+
+def interleaved_run(seed):
+    """Random add_node / merge / declare_context / rebuild steps; after each
+    rebuild, every context must equal the naive per-context fixpoint."""
+    rng = random.Random(seed)
+    eg = EGraph()
+    syms = [eg.declare_function(f"k{i}", 0) for i in range(3)]
+    syms += [eg.declare_function("f", 1), eg.declare_function("g", 2)]
+    classes = [eg.add_node(s, ()) for s in syms[:3]]
+    node_list = [(s.name, (), c) for s, c in zip(syms, classes)]
+    merges = []
+    # two siblings, so that later contexts can join relations that disagree
+    eg.declare_context("a", {BOTTOM})
+    eg.declare_context("b", {BOTTOM})
+
+    def rebuild_and_compare(step):
+        eg.rebuild()
+        oracle = naive_contextual_congruence(
+            eg.lattice, node_list, len(eg.uf), merges
+        )
+        for ctx in eg.lattice.ids():
+            got = eg.uf.partition(ctx)
+            assert got == oracle[ctx], f"seed={seed} step={step} ctx={ctx}"
+
+    for step in range(rng.randint(6, 20)):
+        kind = rng.random()
+        if kind < 0.35 and len(eg.nodes()) < 14:
+            s = rng.choice(syms)
+            children = tuple(rng.choice(classes) for _ in range(s.arity))
+            cls = eg.add_node(s, children)
+            classes.append(cls)
+            node_list.append((s.name, children, cls))
+        elif kind < 0.75:
+            # mostly above bottom, where contexts can disagree
+            ctx = rng.randrange(0 if rng.random() < 0.3 else 1, len(eg.lattice))
+            a, b = rng.choice(classes), rng.choice(classes)
+            merges.append((ctx, a, b))
+            eg.merge(ctx, a, b)
+        elif kind < 0.9 and len(eg.lattice) < 8:
+            above = list(eg.lattice.ids())[1:]
+            covers = {BOTTOM} if not above or rng.random() < 0.4 else set(
+                rng.sample(above, k=min(rng.randint(1, 2), len(above)))
+            )
+            rebuild_and_compare(step)
+            try:
+                eg.declare_context(f"c{step}", covers)
+            except NotALattice:
+                continue
+            rebuild_and_compare(step)
+        else:
+            rebuild_and_compare(step)
+    rebuild_and_compare("end")
+
+
+def test_interleaved_rebuilds_match_naive_fixpoint():
+    for seed in range(2000):
+        interleaved_run(seed)

@@ -113,8 +113,10 @@ def test_unknown_ids_and_contexts():
     lat, uf, then, els, ids = branch_setup()
     with pytest.raises(UnknownNode):
         uf.find(BOTTOM, 99)
-    with pytest.raises(UnknownContext):
-        uf.find(17, 0)
+    # an undeclared id leaves nothing behind, so asking twice raises twice
+    for ctx in (-1, len(lat), "then", 17, 17):
+        with pytest.raises(UnknownContext):
+            uf.find(ctx, 0)
 
 
 def test_late_context_sees_earlier_unions():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,6 +16,7 @@ from ctxsat import (
     Strategy,
     term,
 )
+from ctxsat.dsl import run_source
 from ctxsat.errors import DuplicateRule, UnboundRhsVariable
 from ctxsat.rewrite import pattern_vars
 
@@ -322,6 +325,61 @@ def test_nested_conditional_lands_at_enclosing_context():
     tt = eg.context("then.then")
     assert eg.lattice.leq(then, tt)
     assert eg.lattice.meet(tt, eg.context("then.else")) == then
+
+
+@contextmanager
+def time_budget(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_conditionals_promoted_into_one_class_terminate():
+    # both conditionals equal a by cases, so promotion puts both into a's
+    # class; the walk then meets each inside the other's branches, which
+    # must already know their own condition
+    source = """
+    (function true 0) (function false 0) (function if 3) (function gt 2)
+    (function a 0) (function b 0) (scope-if if true false)
+    (term (if (gt a b) a a)) (term (if (gt b a) a a)) (run 5)
+    (check-equal bot (if (gt a b) a a) a)
+    (check-equal bot (if (gt b a) a a) a)
+    """
+    with time_budget(10):
+        out = run_source(source)
+    assert out.reports[-1].saturated
+    assert [c.ok for c in out.checks] == [True, True]
+    # one instance per (enclosing context, undecided condition): each
+    # condition at bot, and the other one inside each of those branches
+    assert len(out.engine.eg.lattice) == 13
+
+
+def test_condition_nested_in_its_own_branch_is_decided():
+    eng = Engine()
+    eg = eng.eg
+    for name, arity in [
+        ("true", 0), ("false", 0), ("if", 3), ("gt", 2), ("a", 0), ("b", 0),
+    ]:
+        eg.declare_function(name, arity)
+    eng.add_conditional_scope("if", "true", "false")
+    cond = term("gt", term("a"), term("b"))
+    inner = term("if", cond, term("a"), term("b"))
+    root = eng.add_root(term("if", cond, inner, term("b")))
+    assert eng.run(5).saturated
+    lat = eg.lattice
+    assert [lat.name(c) for c in lat.ids()] == ["bot", "then", "else"]
+    then = eg.context("then")
+    a = eg.intern(term("a"))
+    assert eg.equiv(then, eg.intern(inner), a)
+    assert eg.equiv(then, root, a)
+    assert not eg.equiv(BOTTOM, root, a)
 
 
 def lambda_engine(body, value="2"):
