@@ -22,14 +22,7 @@ from .rewrite import (
     Rule,
     SaturationReport,
 )
-from .views import (
-    CanonicalView,
-    QMap,
-    Strategy,
-    ViewCache,
-    build_view,
-    qmap,
-)
+from .views import CanonicalView, Strategy, ViewCache, build_view
 
 __all__ = [
     "BOTTOM",
@@ -51,7 +44,6 @@ __all__ = [
     "NodeId",
     "PatternApp",
     "PatternVar",
-    "QMap",
     "Rule",
     "SaturationReport",
     "Strategy",
@@ -59,6 +51,5 @@ __all__ = [
     "ViewCache",
     "build_view",
     "extract",
-    "qmap",
     "term",
 ]

@@ -33,7 +33,7 @@ from .errors import (
     UnboundRhsVariable,
     UnknownCommand,
 )
-from .extract import extract
+from .extract import check_cost, extract
 from .rewrite import (
     AtContext,
     AtOrAbove,
@@ -357,8 +357,10 @@ def _build_command(sexp) -> Command:
             value = float(raw)
         except ValueError:
             raise DslSyntaxError(f"bad cost value {raw!r}", sexp.line, sexp.col) from None
-        if value < 0:
-            raise DslSyntaxError("costs must be non-negative", sexp.line, sexp.col)
+        try:
+            check_cost(value)
+        except ValueError as e:
+            raise DslSyntaxError(str(e), sexp.line, sexp.col) from None
         return CostCmd(name, value)
     if head == "scope-if":
         _arity(sexp, 3, 4, "scope-if")

@@ -7,12 +7,15 @@ preservation, every context above it).
 
 rebuild() restores congruence separately in every context: after it returns,
 any two stored nodes with the same symbol and children equal at context c
-belong to classes equal at c. `pending` holds the contexts mutated since the
-last rebuild (a merge or intersection records its own context, add_node
-records bottom, declare_context the new context); only the upward closure of
-those contexts can have lost congruence, and rebuild repairs exactly that
-closure, bottom-up, so base repairs feed contextual ones. Congruence unions
-discovered at c are recorded at c, the lowest context that justifies them.
+belong to classes equal at c. Change versions: every effective mutation bumps
+the global `version` and stamps it on each context whose relation it can
+change, the upset of the context it acts at (a merge, an intersection or a
+congruence repair acts at its own context, add_node at bottom,
+declare_context at the new context). `version_at(c)` is therefore the version
+of the last change visible at c. rebuild repairs exactly the contexts stamped
+since it last finished, bottom-up, so base repairs feed contextual ones;
+cached views compare the same stamp. Congruence unions discovered at c are
+recorded at c, the lowest context that justifies them.
 
 Class index: every bottom root maps to the stored nodes of its bottom class,
 and every stored node sits in exactly one list, its class's. add_node
@@ -89,10 +92,11 @@ class EGraph:
         self._nodes: dict[ENode, ClassId] = {}
         # bottom root -> stored nodes of that class (see module docstring)
         self._classes: dict[ClassId, list[ENode]] = {}
-        # contexts mutated since the last rebuild (not their upsets)
-        self.pending: set[ContextId] = set()
-        # bumped on any mutation; lets views cache safely
+        # bumped on every effective mutation; per context, the last bump
+        # visible there (see module docstring)
         self.version = 0
+        self._version_at: dict[ContextId, int] = {}
+        self._rebuilt_at = 0
 
     # symbols
 
@@ -125,8 +129,7 @@ class EGraph:
         cid = self.lattice.declare_context(name, covers)
         self.uf.register_context(cid)
         # the covers' relations join without congruence between them
-        self.pending.add(cid)
-        self.version += 1
+        self._mutated(cid)
         return cid
 
     def context(self, name: str) -> ContextId:
@@ -154,8 +157,7 @@ class EGraph:
         self._nodes[node] = cls
         self._classes[cls] = [node]
         # a new node can collide with old ones under contextual equalities
-        self.pending.add(BOTTOM)
-        self.version += 1
+        self._mutated(BOTTOM)
         return cls
 
     def intern(self, t: Term) -> ClassId:
@@ -177,8 +179,7 @@ class EGraph:
                 winner = self.uf.find(BOTTOM, ra)
                 loser = rb if winner == ra else ra
                 self._classes[winner].extend(self._classes.pop(loser))
-            self.pending.add(ctx)
-            self.version += 1
+            self._mutated(ctx)
         return self.uf.find(ctx, a)
 
     def equiv(self, ctx: ContextId, a: ClassId, b: ClassId) -> bool:
@@ -193,28 +194,41 @@ class EGraph:
                 for root, nodes in self._classes.items():
                     regrouped.setdefault(self.uf.find(BOTTOM, root), []).extend(nodes)
                 self._classes = regrouped
-            self.pending.add(lo)
-            self.version += 1
+            self._mutated(lo)
         return n
+
+    # change versions
+
+    def version_at(self, ctx: ContextId) -> int:
+        """The version of the last mutation that can have changed ctx."""
+        return self._version_at.get(ctx, 0)
+
+    def _mutated(self, ctx: ContextId) -> None:
+        self.version += 1
+        for c in self.lattice.upset(ctx):
+            self._version_at[c] = self.version
 
     # congruence maintenance
 
     def rebuild(self) -> int:
         """Restore per-context congruence; returns the number of repairs.
 
-        Repairs the upward closure of `pending` in one bottom-up sweep, which
-        reaches the fixpoint: only the bottom pass changes the bottom
-        relation, a pass at ctx writes unions only into the upset of ctx, and
-        topo_order puts that upset after ctx. A context outside the closure
-        is unchanged since the last rebuild left it congruent.
+        Repairs every context stamped since the last rebuild in one bottom-up
+        sweep, which reaches the fixpoint: only the bottom pass changes the
+        bottom relation, a pass at ctx writes unions only into the upset of
+        ctx, and topo_order puts that upset after ctx. The stamped contexts
+        are upward closed, since a mutation stamps its whole upset; any other
+        context is unchanged since the last rebuild left it congruent.
         """
-        if not self.pending:
+        since = self._rebuilt_at
+        if self.version == since:
             return 0
-        dirty = set().union(*(self.lattice.upset(c) for c in self.pending))
         repairs = sum(
-            self._repair(ctx) for ctx in self.lattice.topo_order() if ctx in dirty
+            self._repair(ctx)
+            for ctx in self.lattice.topo_order()
+            if self.version_at(ctx) > since
         )
-        self.pending.clear()
+        self._rebuilt_at = self.version
         return repairs
 
     def _repair(self, ctx: ContextId) -> int:
@@ -246,7 +260,7 @@ class EGraph:
             for a, b in merges:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
-            self.version += 1
+            self._mutated(ctx)
 
     # views
 

@@ -21,6 +21,13 @@ from .lattice import ContextId
 from .views import CanonicalView, build_view
 
 
+def check_cost(value: float) -> None:
+    """Costs are finite and non-negative, so only a class with no allowed
+    derivation extracts at infinite cost."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"costs must be finite and non-negative, not {value!r}")
+
+
 @dataclass
 class CostModel:
     """Per-symbol-name costs; anything unlisted costs `default`."""
@@ -29,15 +36,14 @@ class CostModel:
     default: float = 1
 
     def __post_init__(self):
-        if self.default < 0 or any(v < 0 for v in self.costs.values()):
-            raise ValueError("costs must be non-negative")
+        for v in (self.default, *self.costs.values()):
+            check_cost(v)
 
     def of(self, name: str) -> float:
         return self.costs.get(name, self.default)
 
     def set(self, name: str, value: float) -> None:
-        if value < 0:
-            raise ValueError("costs must be non-negative")
+        check_cost(value)
         self.costs[name] = value
 
     def term_cost(self, t: Term) -> float:

@@ -33,10 +33,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
-from .errors import DuplicateRule, UnboundRhsVariable
-from .extract import CostModel, extract, forbidden_names
+from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
+from .extract import CostModel, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy, ViewCache, build_view
+from .views import OnTheFlyProvider, Strategy, ViewCache
 
 
 @dataclass(frozen=True)
@@ -396,31 +396,6 @@ class Engine:
             total += self.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
         return total
 
-    def avoidable(self, ctx: ContextId, c: ClassId, forbid) -> bool:
-        """Does the class contain a derivable term with no forbidden symbol?
-
-        Least fixpoint: a class qualifies once one of its canonical nodes is
-        allowed and has only qualifying children.
-        """
-        forbidden = forbidden_names(forbid)
-        view = build_view(self.eg, ctx)
-        root = self.eg.find(ctx, c)
-        good: set[ClassId] = set()
-        changed = True
-        while changed:
-            changed = False
-            for cls, nodes in view.classes.items():
-                if cls in good:
-                    continue
-                for node in nodes:
-                    if node.symbol.name in forbidden:
-                        continue
-                    if all(ch in good for ch in node.children):
-                        good.add(cls)
-                        changed = True
-                        break
-        return root in good
-
     def apply_lambda_lifts(self) -> int:
         """Equate each application with a cheapest binder-free body term."""
         count = 0
@@ -431,9 +406,16 @@ class Engine:
                 forbid = self._binder_names(binder_cls)
                 if not forbid:
                     continue
-                if not self.avoidable(inst.body_ctx, body_cls, forbid):
+                try:
+                    res = extract_from_view(
+                        self.views.get(inst.body_ctx),
+                        eg.find(inst.body_ctx, body_cls),
+                        self.cost_model,
+                        forbid,
+                    )
+                except NoFiniteTerm:
+                    # every term of the body mentions the binder
                     continue
-                res = extract(eg, inst.body_ctx, body_cls, self.cost_model, forbid)
                 lifted = eg.intern(res.term)
                 if not eg.equiv(inst.gamma, inst.app_class, lifted):
                     eg.merge(inst.gamma, inst.app_class, lifted)
@@ -453,10 +435,9 @@ class Engine:
         report = SaturationReport()
         eg = self.eg
         for _ in range(max_iterations):
-            before_ids = len(eg.uf)
-            before_unions = eg.uf.total_unions()
+            before = eg.version
             eg.rebuild()
-            new_instances = self.apply_scopes()
+            self.apply_scopes()
             for rule in self.rules:
                 for ctx in self._admissible_contexts(rule.scope):
                     for subst, root in self.ematch(ctx, rule.lhs):
@@ -470,11 +451,7 @@ class Engine:
             report.iterations += 1
             if iteration_hook is not None:
                 iteration_hook(self)
-            if (
-                len(eg.uf) == before_ids
-                and eg.uf.total_unions() == before_unions
-                and new_instances == 0
-            ):
+            if eg.version == before:
                 report.saturated = True
                 break
         return report

@@ -1,14 +1,15 @@
-"""Canonicalized per-context databases and maps between them.
+"""Canonicalized per-context databases.
 
 A canonical view of a context replaces every child reference with the child's
 representative in that context and deduplicates the resulting nodes. Views of
-coarser contexts are never larger than views of finer ones, and the factoring
-map between the two quotients is total and well defined.
+coarser contexts are never larger than views of finer ones.
 
-E-matching reads the cached view of a context, rebuilt only after the graph
-changes. `OnTheFlyProvider` canonicalizes per query instead; it is the
-reference implementation that tests compare the cached view against, and no
-engine path uses it.
+E-matching and lambda lifting read the cached view of a context, rebuilt only
+after a mutation that can change that context (its change version moved; see
+the egraph module), so a merge in one branch keeps the views of its siblings.
+`OnTheFlyProvider` canonicalizes per query instead; it is the reference
+implementation that tests compare the cached view against, and no engine path
+uses it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .egraph import ClassId, EGraph, ENode, node_key
-from .errors import NotBelow
 from .lattice import ContextId
 
 
@@ -49,11 +49,12 @@ def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     for root, nodes in eg.classes().items():
         grouped[eg.find(ctx, root)].update(eg.canonical_node(ctx, n) for n in nodes)
     classes = {c: tuple(sorted(ns, key=node_key)) for c, ns in grouped.items()}
-    return CanonicalView(ctx, classes, eg.version)
+    return CanonicalView(ctx, classes, eg.version_at(ctx))
 
 
 class ViewCache:
-    """Materialized views keyed by context, invalidated by the graph version."""
+    """Materialized views keyed by context; a view is reused until the
+    context's change version (`EGraph.version_at`) moves past its stamp."""
 
     def __init__(self, eg: EGraph):
         self.eg = eg
@@ -61,33 +62,10 @@ class ViewCache:
 
     def get(self, ctx: ContextId) -> CanonicalView:
         view = self._views.get(ctx)
-        if view is None or view.version != self.eg.version:
+        if view is None or view.version != self.eg.version_at(ctx):
             view = build_view(self.eg, ctx)
             self._views[ctx] = view
         return view
-
-
-@dataclass(frozen=True)
-class QMap:
-    """Factoring map from a finer context's classes onto a coarser one's."""
-
-    fine: ContextId
-    coarse: ContextId
-    mapping: dict[ClassId, ClassId]
-
-    def __call__(self, fine_class: ClassId) -> ClassId:
-        return self.mapping[fine_class]
-
-
-def qmap(eg: EGraph, fine: ContextId, coarse: ContextId) -> QMap:
-    if not eg.lattice.leq(fine, coarse):
-        raise NotBelow(
-            f"{eg.lattice.name(fine)!r} is not below {eg.lattice.name(coarse)!r}"
-        )
-    mapping: dict[ClassId, ClassId] = {}
-    for i in range(len(eg.uf)):
-        mapping[eg.find(fine, i)] = eg.find(coarse, i)
-    return QMap(fine, coarse, mapping)
 
 
 class Strategy(enum.Enum):

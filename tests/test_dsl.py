@@ -162,6 +162,28 @@ def test_cli_rejects_negative_max_iters():
     assert cli("run", str(corpus_path("intro")), "--max-iters", "2").returncode == 0
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e400"])
+def test_cost_must_be_finite_and_non_negative(value):
+    with pytest.raises(DslSyntaxError, match="finite and non-negative") as e:
+        parse_program(f"(function a 0)\n(cost a {value})\n")
+    assert e.value.line == 2
+    parse_program("(function a 0)\n(cost a 0)\n(cost a 2.5)\n")
+
+
+def test_cli_rejects_infinite_cost_before_running(tmp_path):
+    # an infinite cost used to surface only later, as "no finite-cost term"
+    # from the lambda lift inside (run 6)
+    source = corpus_source("lambda").replace(
+        "(run 6)", "(cost 3 inf) (cost plus inf)\n(run 6)"
+    )
+    bad = tmp_path / "inf.ctx"
+    bad.write_text(source)
+    res = cli("run", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error") and "finite and non-negative" in res.stderr
+    assert "no finite-cost term" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cli_json_and_dot_outputs(tmp_path):
     json_path = tmp_path / "out.json"
     dot_path = tmp_path / "out.dot"

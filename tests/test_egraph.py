@@ -206,7 +206,7 @@ def test_congruence_matches_naive_fixpoint():
         eg, merges, node_list = random_egraph(seed, max_nodes, max_ctx)
         eg.rebuild()
         # one bottom-up sweep is already a fixpoint
-        eg.pending.add(BOTTOM)
+        eg._mutated(BOTTOM)
         assert eg.rebuild() == 0, f"seed={seed}"
         oracle = naive_contextual_congruence(
             eg.lattice, node_list, len(eg.uf), merges

@@ -14,10 +14,11 @@ from ctxsat import (
     PatternVar,
     Rule,
     Strategy,
+    extract,
     term,
 )
 from ctxsat.dsl import run_source
-from ctxsat.errors import DuplicateRule, UnboundRhsVariable
+from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from ctxsat.rewrite import pattern_vars
 
 from test_egraph import random_egraph
@@ -406,17 +407,26 @@ def lambda_engine(body, value="2"):
     return eng, root
 
 
+def extracts_avoiding(eg, ctx, cls, forbid):
+    """Does extract find a term of the class with no forbidden symbol?"""
+    try:
+        extract(eg, ctx, cls, forbid=forbid)
+    except NoFiniteTerm:
+        return False
+    return True
+
+
 def test_avoidable_on_lambda_body():
     eng, root = lambda_engine(term("plus", term("var", term("x")), term("1")))
     eg = eng.eg
     eng.run(4)
     body_ctx = eg.context("body")
     body = eg.intern(term("plus", term("var", term("x")), term("1")))
-    assert eng.avoidable(body_ctx, body, "x")
+    assert extracts_avoiding(eg, body_ctx, body, "x")
     var_only = eg.intern(term("var", term("x")))
     # the binder class itself is only avoidable because the argument joined it
-    assert eng.avoidable(body_ctx, var_only, "x")
-    assert not eng.avoidable(BOTTOM, var_only, "x")
+    assert extracts_avoiding(eg, body_ctx, var_only, "x")
+    assert not extracts_avoiding(eg, BOTTOM, var_only, "x")
 
 
 def test_avoidable_agrees_with_term_enumeration():
@@ -426,7 +436,6 @@ def test_avoidable_agrees_with_term_enumeration():
 
     for seed in range(40):
         eg, classes, _ = layered_random_graph(seed + 6000, tiers=3, per_tier=2)
-        eng = Engine(eg)
         rng = random.Random(seed)
         banned = rng.choice([s.name for s in eg.symbols() if s.arity == 0])
         for ctx in eg.lattice.ids():
@@ -435,7 +444,8 @@ def test_avoidable_agrees_with_term_enumeration():
                     not term_mentions(t, banned)
                     for t in enumerate_terms(eg, ctx, cls, 5)
                 )
-                assert eng.avoidable(ctx, cls, banned) == expected, f"seed={seed}"
+                got = extracts_avoiding(eg, ctx, cls, banned)
+                assert got == expected, f"seed={seed}"
 
 
 def test_avoidable_false_when_every_term_mentions_binder():
@@ -445,7 +455,8 @@ def test_avoidable_false_when_every_term_mentions_binder():
         eg.declare_function(name, arity)
     gx = eg.intern(term("g", term("var", term("x"))))
     eg.rebuild()
-    assert not eng.avoidable(BOTTOM, gx, "x")
+    with pytest.raises(NoFiniteTerm):
+        extract(eg, BOTTOM, gx, forbid="x")
 
 
 def test_lambda_lift_end_to_end():

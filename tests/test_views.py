@@ -8,13 +8,11 @@ from ctxsat import (
     Strategy,
     ViewCache,
     build_view,
-    qmap,
     term,
 )
 import pytest
 
 from ctxsat.egraph import node_key
-from ctxsat.errors import NotBelow
 from ctxsat.views import OnTheFlyProvider
 
 from test_egraph import random_egraph
@@ -66,21 +64,10 @@ def test_view_cache_invalidation():
     eg.rebuild()
     v2 = cache.get(then)
     assert v2 is not v1
-    assert v2.version == eg.version
+    assert v2.version == eg.version_at(then)
 
 
-def test_qmap_factoring_identity_and_merge():
-    eg, then, gt, true = branch_graph()
-    q = qmap(eg, BOTTOM, then)
-    assert q(eg.find(BOTTOM, gt)) == q(eg.find(BOTTOM, true))
-    ident = qmap(eg, then, then)
-    for c in eg.class_ids(then):
-        assert ident(c) == c
-    with pytest.raises(NotBelow):
-        qmap(eg, then, BOTTOM)
-
-
-def test_qmap_well_defined_on_random_graphs():
+def test_factoring_well_defined_on_random_graphs():
     for seed in range(80):
         eg, _, _ = random_egraph(seed + 900)
         eg.rebuild()
@@ -89,12 +76,13 @@ def test_qmap_well_defined_on_random_graphs():
             for coarse in lat.ids():
                 if not lat.leq(fine, coarse):
                     continue
-                q = qmap(eg, fine, coarse)
+                factor = {}
                 blocks = {}
                 for i in range(len(eg.uf)):
-                    # factoring: q(find_fine(a)) == find_coarse(a) for every id
-                    assert q(eg.find(fine, i)) == eg.find(coarse, i)
-                    blocks.setdefault(eg.find(coarse, i), set()).add(eg.find(fine, i))
+                    # factoring: find_fine(a) determines find_coarse(a) for every id
+                    f, c = eg.find(fine, i), eg.find(coarse, i)
+                    assert factor.setdefault(f, c) == c
+                    blocks.setdefault(c, set()).add(f)
                 # coarse classes are exact unions of fine classes
                 fine_part = {
                     f: {i for i in range(len(eg.uf)) if eg.find(fine, i) == f}
@@ -108,7 +96,6 @@ def test_qmap_well_defined_on_random_graphs():
                         i for i in range(len(eg.uf)) if eg.find(coarse, i) == coarse_root
                     }
                     assert union == coarse_block
-                assert len(set(q.mapping.values())) <= len(q.mapping)
 
 
 def test_strategies_agree_on_random_graphs():
@@ -164,3 +151,56 @@ def test_class_index_matches_scan_without_rebuild(kind):
                 got = {c: provider.nodes_of(c) for c in want}
                 assert got == want, f"seed={seed}"
     assert changed >= 50
+
+
+def change_something(eg, rng, kind, step):
+    """One mutation of the given kind, with no rebuild; returns the context
+    it acts at (a mutation can change only the views at or above it)."""
+    lat = eg.lattice
+    classes = list(eg.nodes().values())
+    ctx = rng.randrange(len(lat))
+    if kind == "merge":
+        eg.merge(ctx, rng.choice(classes), rng.choice(classes))
+    elif kind == "no-op-merge":
+        a = rng.choice(classes)
+        eg.merge(ctx, a, eg.find(ctx, a))
+    elif kind == "add-node":
+        # an existing symbol over existing classes is sometimes not new
+        sym = rng.choice(eg.symbols())
+        eg.add_node(sym, tuple(rng.choice(classes) for _ in range(sym.arity)))
+        ctx = BOTTOM
+    elif kind == "intersect":
+        c1, c2 = rng.randrange(len(lat)), rng.randrange(len(lat))
+        ctx = rng.choice([c for c in lat.ids() if lat.leq(c, c1) and lat.leq(c, c2)])
+        eg.intersect_into(ctx, c1, c2)
+    else:
+        ctx = eg.declare_context(f"new{step}", {ctx})
+    return ctx
+
+
+def test_view_cache_rebuilds_only_views_above_a_change():
+    kinds = ["merge", "no-op-merge", "add-node", "intersect", "declare-context"]
+    reused = 0
+    for seed in range(120):
+        eg, _, _ = random_egraph(seed + 9000)
+        if seed % 2:
+            eg.rebuild()
+        rng = random.Random(seed)
+        cache = ViewCache(eg)
+        views = {ctx: cache.get(ctx) for ctx in eg.lattice.ids()}
+        for step in range(10):
+            sizes = (len(eg.uf), eg.uf.total_unions(), len(eg.lattice))
+            version = eg.version
+            at = change_something(eg, rng, rng.choice(kinds), step)
+            moved = (len(eg.uf), eg.uf.total_unions(), len(eg.lattice)) != sizes
+            # the saturation test of Engine.run reads the version alone
+            assert (eg.version != version) == moved, f"seed={seed} step={step}"
+            for ctx in eg.lattice.ids():
+                view = cache.get(ctx)
+                assert view.classes == build_view(eg, ctx).classes, f"seed={seed}"
+                if ctx in views and not (moved and eg.lattice.leq(at, ctx)):
+                    assert view is views[ctx], f"seed={seed} step={step} ctx={ctx}"
+                    reused += moved
+                views[ctx] = view
+    # effective changes below the top left views to reuse
+    assert reused >= 200
