@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print one digest per program, so two revisions can be compared by diff.
+
+The programs are the seven shipped corpora and the distinct programs of the
+benchmark's `scopes` and `ac` workloads at seed 1 (`prepare_scopes(1)`,
+`prepare_ac(1)` in perfbench/workloads.py, imported read-only). Each output
+line is a label and a sha256 over everything a run leaves observable: the
+`--json` report, the extracts, `export_dot` and `stats` at every context,
+and the numbers of ids and stored nodes. Two revisions that behave the same
+print the same lines:
+
+    python3 scripts/fingerprint.py > after.txt
+    diff before.txt after.txt
+
+Run from anywhere; it imports ctxsat from this checkout's src/.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from ctxsat.corpus import CORPUS_NAMES, corpus_source  # noqa: E402
+from ctxsat.dot import export_dot  # noqa: E402
+from ctxsat.dsl import run_source  # noqa: E402
+
+import workloads  # noqa: E402
+
+
+def programs() -> list[tuple[str, str]]:
+    """(label, source) pairs; a label that repeats gets a #k suffix."""
+    out = [(name, corpus_source(name)) for name in CORPUS_NAMES]
+    seen = {source for _, source in out}
+    count: dict[str, int] = {}
+    for prepared in (workloads.prepare_scopes(1), workloads.prepare_ac(1)):
+        for op in prepared.rounds.all_ops():
+            if op.source in seen:
+                continue
+            seen.add(op.source)
+            k = count[op.label] = count.get(op.label, 0) + 1
+            out.append((op.label if k == 1 else f"{op.label}#{k}", op.source))
+    return out
+
+
+def digest(source: str) -> str:
+    out = run_source(source)
+    eg = out.engine.eg
+    state = {
+        "report": out.report_json(),
+        "extracts": [[e.term, e.cost] for e in out.extracts],
+        "contexts": {
+            eg.lattice.name(c): [export_dot(eg, c), eg.stats(c)]
+            for c in eg.lattice.ids()
+        },
+        "ids": len(eg.uf),
+        "nodes": len(eg.nodes()),
+    }
+    text = json.dumps(state, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    for label, source in programs():
+        print(f"{label} {digest(source)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

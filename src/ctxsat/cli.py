@@ -33,7 +33,8 @@ def _cmd_run(args) -> int:
     out = execute(program, max_iterations=args.max_iters)
     for check in out.checks:
         status = "PASS" if check.ok else "FAIL"
-        print(f"{status}  {check.name}")
+        reason = "" if check.reason is None else f"  ({check.reason})"
+        print(f"{status}  {check.name}{reason}")
     for ex in out.extracts:
         print(f"extract  {ex.term}  cost={ex.cost:g}")
     data = out.report_json()

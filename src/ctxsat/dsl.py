@@ -427,6 +427,8 @@ def parse_program(source: str) -> Program:
 class CheckResult:
     name: str
     ok: bool
+    # why a check failed without comparing anything
+    reason: str | None = None
 
 
 @dataclass
@@ -454,7 +456,8 @@ class RunOutput:
         eng = self.engine
         lat = eng.eg.lattice
         return {
-            "checks": [{"name": c.name, "status": "pass" if c.ok else "fail"} for c in self.checks],
+            "checks": [{"name": c.name, "status": "pass" if c.ok else "fail"}
+                       | ({} if c.reason is None else {"reason": c.reason}) for c in self.checks],
             "report": {
                 "iterations": sum(r.iterations for r in self.reports),
                 "saturated": bool(self.reports) and self.reports[-1].saturated,
@@ -485,7 +488,8 @@ def execute(
     """Run every command in order against a fresh engine.
 
     `max_iterations`, when given, caps each (run n) directive. Checks are
-    evaluated at their position in the program.
+    evaluated at their position in the program; one at a context that was
+    never created fails, with that as its reason.
     """
     engine = Engine()
     out = RunOutput(engine=engine)
@@ -532,9 +536,13 @@ def _execute_one(engine: Engine, cmd, out: RunOutput, max_iterations, iteration_
         a = eg.intern(cmd.left)
         b = eg.intern(cmd.right)
         eg.rebuild()
-        ctx = eg.lattice.id_of(cmd.context)
-        equal = eg.equiv(ctx, a, b)
-        out.checks.append(CheckResult(cmd.label, equal != cmd.negated))
+        if eg.lattice.has_name(cmd.context):
+            equal = eg.equiv(eg.lattice.id_of(cmd.context), a, b)
+            out.checks.append(CheckResult(cmd.label, equal != cmd.negated))
+        else:
+            # e.g. a scope context the run stopped before creating
+            reason = f"context {cmd.context!r} is not declared"
+            out.checks.append(CheckResult(cmd.label, False, reason))
     elif isinstance(cmd, ExtractCmd):
         cls = eg.intern(cmd.term)
         eg.rebuild()

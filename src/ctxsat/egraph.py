@@ -141,7 +141,8 @@ class EGraph:
         return self.uf.find(ctx, c)
 
     def canonical_node(self, ctx: ContextId, node: ENode) -> ENode:
-        return ENode(node.symbol, tuple(self.uf.find(ctx, ch) for ch in node.children))
+        # node's children must be known ids: they are not validated
+        return ENode(node.symbol, tuple(self.uf._find(ctx, ch) for ch in node.children))
 
     def add_node(self, symbol: FunctionSymbol, children: tuple[ClassId, ...]) -> ClassId:
         """Hash-cons an e-node; fresh nodes start as singleton classes."""
@@ -176,7 +177,7 @@ class EGraph:
             ra, rb = self.uf.find(BOTTOM, a), self.uf.find(BOTTOM, b)
         if self.uf.union_new(ctx, a, b):
             if ctx == BOTTOM:
-                winner = self.uf.find(BOTTOM, ra)
+                winner = self.uf._find(BOTTOM, ra)
                 loser = rb if winner == ra else ra
                 self._classes[winner].extend(self._classes.pop(loser))
             self._mutated(ctx)
@@ -192,7 +193,7 @@ class EGraph:
             if lo == BOTTOM:
                 regrouped: dict[ClassId, list[ENode]] = {}
                 for root, nodes in self._classes.items():
-                    regrouped.setdefault(self.uf.find(BOTTOM, root), []).extend(nodes)
+                    regrouped.setdefault(self.uf._find(BOTTOM, root), []).extend(nodes)
                 self._classes = regrouped
             self._mutated(lo)
         return n
@@ -240,7 +241,7 @@ class EGraph:
             sig: dict[ENode, ClassId] = {}
             merges: list[tuple[ClassId, ClassId]] = []
             for root, nodes in self._classes.items():
-                cls = self.uf.find(ctx, root)
+                cls = self.uf._find(ctx, root)
                 for node in nodes:
                     canon = self.canonical_node(ctx, node)
                     other = sig.get(canon)
@@ -267,12 +268,12 @@ class EGraph:
     def class_ids(self, ctx: ContextId) -> list[ClassId]:
         """Canonical representatives of every class at ctx, ascending."""
         self.lattice.check(ctx)
-        return sorted({self.uf.find(ctx, root) for root in self._classes})
+        return sorted({self.uf._find(ctx, root) for root in self._classes})
 
     def class_of_node(self, node: ENode) -> ClassId:
         canon = self.canonical_node(BOTTOM, node)
         try:
-            return self.uf.find(BOTTOM, self._nodes[canon])
+            return self.uf._find(BOTTOM, self._nodes[canon])
         except KeyError:
             raise UnknownNode(f"node {node} is not stored") from None
 

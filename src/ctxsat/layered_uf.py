@@ -67,6 +67,10 @@ class LayeredUnionFind:
 
     def find(self, ctx: ContextId, x: NodeId) -> NodeId:
         self._check_node(x)
+        return self._find(ctx, x)
+
+    # find for ids the package already holds: no validation
+    def _find(self, ctx: ContextId, x: NodeId) -> NodeId:
         r = self._base_find(x)
         if ctx == BOTTOM:
             return r
@@ -87,18 +91,20 @@ class LayeredUnionFind:
         return self.find(ctx, a) == self.find(ctx, b)
 
     def union(self, ctx: ContextId, a: NodeId, b: NodeId) -> NodeId:
-        self._union(ctx, a, b)
+        self.union_new(ctx, a, b)
         return self.find(ctx, a)
 
     def union_new(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
         """Like union, but report whether anything actually merged at ctx."""
+        self._check_node(a)
+        self._check_node(b)
         return self._union(ctx, a, b)
 
     def partition(self, ctx: ContextId) -> frozenset[frozenset[NodeId]]:
         self.lattice.check(ctx)
         blocks: dict[int, list[int]] = defaultdict(list)
         for i in range(len(self._parent)):
-            blocks[self.find(ctx, i)].append(i)
+            blocks[self._find(ctx, i)].append(i)
         return frozenset(frozenset(b) for b in blocks.values())
 
     def intersect_into(self, lo: ContextId, c1: ContextId, c2: ContextId) -> int:
@@ -117,7 +123,7 @@ class LayeredUnionFind:
             )
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
         for i in range(len(self._parent)):
-            groups[(self.find(c1, i), self.find(c2, i))].append(i)
+            groups[(self._find(c1, i), self._find(c2, i))].append(i)
         count = 0
         for members in groups.values():
             head = members[0]
@@ -136,7 +142,7 @@ class LayeredUnionFind:
         r = self.find(ctx, x)
         if ctx == BOTTOM:
             return [r]
-        return [r] + [k for k in list(self._overlay_for(ctx)) if self.find(ctx, k) == r]
+        return [r] + [k for k in list(self._overlay_for(ctx)) if self._find(ctx, k) == r]
 
     def total_unions(self) -> int:
         return sum(self.unions_at.values())
@@ -147,7 +153,7 @@ class LayeredUnionFind:
         if ctx == BOTTOM:
             merged = self._base_union(a, b)
         else:
-            if self.find(ctx, a) == self.find(ctx, b):
+            if self._find(ctx, a) == self._find(ctx, b):
                 return False
             merged = False
             for u in sorted(self.lattice.upset(ctx)):
@@ -178,7 +184,7 @@ class LayeredUnionFind:
         return True
 
     def _link_in_layer(self, ctx: ContextId, a: int, b: int) -> bool:
-        ra, rb = self.find(ctx, a), self.find(ctx, b)
+        ra, rb = self._find(ctx, a), self._find(ctx, b)
         if ra == rb:
             return False
         winner, loser = min(ra, rb), max(ra, rb)

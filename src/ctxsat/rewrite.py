@@ -25,6 +25,19 @@ Constructs discover their nodes by occurrence: the engine walks the graph
 from the root terms, descending into branch bodies under the branch context
 and everywhere else under the current one, so nested conditionals land their
 intersections at the enclosing branch context rather than at bottom.
+
+E-matching is relational: a left-hand side compiles to a conjunctive query
+with one atom `f(children) -> class` per application, evaluated by one
+backtracking join over the rows `(node, class)` of a context's cached view,
+which extends a match through an atom's class or through the view's parent
+index. Runs are semi-naive: each rule joins, once from each atom, only from
+the rows stamped (see the views module) after its last run at the context.
+Rows change monotonically, so a match built only from older rows was found
+then and its right-hand side added and merged; skipping it leaves the
+relation as the next rebuild would. (Re-adding a nested right-hand side
+before that rebuild can meet a child merged at bottom meanwhile, so a run
+that re-matched everything may number fresh ids, and count unions per
+context, differently.)
 """
 
 from __future__ import annotations
@@ -160,6 +173,9 @@ class Engine:
         self.roots: list[ClassId] = []
         self._cond_instances: list[_CondInstance] = []
         self._lambda_instances: list[_LambdaInstance] = []
+        # (rule name, ctx) -> version_at(ctx) when the rule last matched there
+        self._matched_at: dict[tuple[str, ContextId], int] = {}
+        self._queries: dict[Pattern, tuple] = {}
 
     # registration
 
@@ -209,23 +225,34 @@ class Engine:
         ctx: ContextId,
         pattern: Pattern,
         strategy: Strategy | None = None,
+        since: int | None = None,
     ) -> list[tuple[dict[str, ClassId], ClassId]]:
         """All (substitution, root class) pairs making the pattern present in
         the ctx-canonical database, deduplicated under find(ctx).
 
         The database is the cached view of ctx; Strategy.ON_THE_FLY reads the
-        reference provider instead, so tests can compare the two."""
+        reference provider instead, so tests can compare the two. `since`, a
+        version_at(ctx) read after an earlier call, keeps only matches using
+        a row stamped after it (a bare variable, and the reference, which
+        keeps no stamps, match in full)."""
         self.eg.lattice.check(ctx)
         if strategy is Strategy.ON_THE_FLY:
-            db = OnTheFlyProvider(self.eg, ctx)
+            db, since = OnTheFlyProvider(self.eg, ctx), None
         else:
             db = self.views.get(ctx)
-        results: dict = {}
-        for root in db.class_ids():
-            for subst in _match(db, pattern, root, {}):
-                key = (root, tuple(sorted(subst.items())))
-                results[key] = (subst, root)
-        return [results[k] for k in sorted(results)]
+        if pattern not in self._queries:
+            self._queries[pattern] = _compile(pattern)
+        atoms, names, width = self._queries[pattern]
+        if not atoms:
+            return [({pattern.name: c}, c) for c in db.class_ids()]
+        if since is None:
+            f = atoms[0][0]
+            starts = [(0, [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f])]
+        else:
+            starts = [(i, db._rows(atom[0], since)) for i, atom in enumerate(atoms)]
+        found = [b for i, seeds in starts for b in _join(db, atoms, width, i, seeds)]
+        results = {(b[0], tuple((name, b[slot]) for name, slot in names)) for b in found}
+        return [(dict(items), root) for root, items in sorted(results)]
 
     def _instantiate(self, pat: Pattern, subst: dict[str, ClassId]) -> ClassId:
         if isinstance(pat, PatternVar):
@@ -440,7 +467,10 @@ class Engine:
             self.apply_scopes()
             for rule in self.rules:
                 for ctx in self._admissible_contexts(rule.scope):
-                    for subst, root in self.ematch(ctx, rule.lhs):
+                    key = (rule.name, ctx)
+                    matches = self.ematch(ctx, rule.lhs, since=self._matched_at.get(key))
+                    self._matched_at[key] = eg.version_at(ctx)
+                    for subst, root in matches:
                         rhs_cls = self._instantiate(rule.rhs, subst)
                         eg.merge(ctx, root, rhs_cls)
                         report.rule_applications += 1
@@ -457,24 +487,58 @@ class Engine:
         return report
 
 
-def _match(db, pat: Pattern, cls: ClassId, subst: dict[str, ClassId]):
-    if isinstance(pat, PatternVar):
-        bound = subst.get(pat.name)
-        if bound is None:
-            extended = dict(subst)
-            extended[pat.name] = cls
-            yield extended
-        elif bound == cls:
-            yield subst
-        return
-    for node in db.nodes_of(cls):
-        if node.symbol != pat.symbol:
-            continue
-        partial = [subst]
-        for sub_pat, child in zip(pat.args, node.children):
-            partial = [
-                s2 for s1 in partial for s2 in _match(db, sub_pat, child, s1)
-            ]
-            if not partial:
-                break
-        yield from partial
+def _compile(pattern: Pattern):
+    """Atoms (symbol, argument slots, class slot), root first with its class
+    in slot 0, the (variable, slot) pairs, and the slot count."""
+    atoms: list = []
+    slots: dict[str, int] = {}
+
+    def visit(p: Pattern) -> int:
+        if isinstance(p, PatternVar):
+            return slots.setdefault(p.name, len(slots) + len(atoms))
+        i, out = len(atoms), len(slots) + len(atoms)
+        atoms.append(None)
+        atoms[i] = (p.symbol, tuple(visit(a) for a in p.args), out)
+        return out
+
+    visit(pattern)
+    return atoms, sorted(slots.items()), len(slots) + len(atoms)
+
+
+def _join(db, atoms: list, width: int, start: int, seeds) -> list[list]:
+    """Slot bindings of the matches whose row for atom `start` is in seeds;
+    each next atom is reached through its class or as a parent."""
+    empty = [None] * width
+    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, empty))]
+    done, frontier = {start}, [start]
+    while frontier and partial:
+        _, args, out = atoms[frontier.pop()]
+        for j, atom in enumerate(atoms):
+            sym, args_j, out_j = atom
+            if j in done or (out_j not in args and out not in args_j):
+                continue
+            done.add(j)
+            frontier.append(j)
+            if out_j in args:
+                partial = [
+                    b2 for b in partial for n in db.nodes_of(b[out_j])
+                    if n.symbol == sym and (b2 := _bind(atom, n, b[out_j], b))
+                ]
+            else:
+                pos = args_j.index(out)
+                partial = [
+                    b2 for b in partial for n, c in db._parents(sym, pos, b[out])
+                    if (b2 := _bind(atom, n, c, b))
+                ]
+    return partial
+
+
+def _bind(atom, node: ENode, cls: ClassId, b: list) -> list | None:
+    """b extended by the row (node, cls) for atom, or None on a clash."""
+    b = b.copy()
+    for slot, value in zip((*atom[1], atom[2]), (*node.children, cls)):
+        if b[slot] is None:
+            b[slot] = value
+        elif b[slot] != value:
+            return None
+    return b

@@ -162,6 +162,26 @@ def test_cli_rejects_negative_max_iters():
     assert cli("run", str(corpus_path("intro")), "--max-iters", "2").returncode == 0
 
 
+def test_cli_check_at_uncreated_context_fails_with_reason(tmp_path):
+    # the capped run never creates the `then` context the first check names
+    json_path = tmp_path / "out.json"
+    res = cli("run", str(corpus_path("intro")), "--max-iters", "0", "--json", str(json_path))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr and not res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == (
+        "FAIL  check-equal then (mul x y) (shift y)  (context 'then' is not declared)"
+    )
+    assert lines[1] == "PASS  check-not-equal bot (mul x y) (shift y)"
+    checks = json.loads(json_path.read_text())["checks"]
+    assert checks[0] == {
+        "name": "check-equal then (mul x y) (shift y)",
+        "status": "fail",
+        "reason": "context 'then' is not declared",
+    }
+    assert checks[1] == {"name": "check-not-equal bot (mul x y) (shift y)", "status": "pass"}
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e400"])
 def test_cost_must_be_finite_and_non_negative(value):
     with pytest.raises(DslSyntaxError, match="finite and non-negative") as e:

@@ -10,6 +10,7 @@ from ctxsat import (
     AtContext,
     AtOrAbove,
     Engine,
+    FunctionSymbol,
     PatternApp,
     PatternVar,
     Rule,
@@ -17,7 +18,8 @@ from ctxsat import (
     extract,
     term,
 )
-from ctxsat.dsl import run_source
+from ctxsat.corpus import CORPUS_NAMES, corpus_source
+from ctxsat.dsl import Program, RunCmd, execute, parse_program, run_source
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from ctxsat.rewrite import pattern_vars
 
@@ -140,6 +142,180 @@ def test_ematch_matches_brute_force_enumeration():
                 assert match_set(eng, ctx, pat) == expected
                 assert match_set(eng, ctx, pat, Strategy.MATERIALIZED) == expected
                 assert match_set(eng, ctx, pat, Strategy.ON_THE_FLY) == expected
+
+
+def test_ematch_since_returns_only_new_matches():
+    for seed in range(100):
+        eg, _, _ = random_egraph(seed, max_nodes=14, max_ctx=4)
+        eg.rebuild()
+        eng = Engine(eg)
+        rng = random.Random(seed * 17 + 3)
+        lat = eg.lattice
+        symbols = eg.symbols()
+        pats = [random_pattern(rng, symbols, 2, 2) for _ in range(3)]
+        ctxs = list(lat.ids())
+        recorded = {
+            (ctx, p): (match_set(eng, ctx, p), eg.version_at(ctx))
+            for ctx in ctxs
+            for p in pats
+        }
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.choice(["merge", "add-node", "intersect", "match"])
+            n = len(eg.uf)
+            if kind == "merge":
+                eg.merge(rng.choice(ctxs), rng.randrange(n), rng.randrange(n))
+            elif kind == "add-node":
+                sym = rng.choice(symbols)
+                eg.add_node(sym, tuple(rng.randrange(n) for _ in range(sym.arity)))
+            elif kind == "intersect":
+                c1, c2 = rng.choice(ctxs), rng.choice(ctxs)
+                lo = rng.choice([c for c in ctxs if lat.leq(c, c1) and lat.leq(c, c2)])
+                eg.intersect_into(lo, c1, c2)
+            else:
+                # a view built in between must pass the stamps on
+                match_set(eng, rng.choice(ctxs), rng.choice(pats))
+        if rng.random() < 0.5:
+            eg.rebuild()
+        for (ctx, p), (before, version) in recorded.items():
+            now = match_set(eng, ctx, p)
+            new = {
+                (root, tuple(sorted(subst.items())))
+                for subst, root in eng.ematch(ctx, p, since=version)
+            }
+            assert new <= now, f"seed={seed}"
+            assert now - new <= before, f"seed={seed}"
+            if eg.version_at(ctx) == version and isinstance(p, PatternApp):
+                assert not new, f"seed={seed}"  # a bare variable matches in full
+            assert now == brute_force_matches(eng, ctx, p), f"seed={seed}"
+            assert match_set(eng, ctx, p, Strategy.ON_THE_FLY) == now, f"seed={seed}"
+
+
+SYMBOLS = [("f", 2), ("g", 1), ("a", 0), ("b", 0), ("c", 0)]
+# h occurs only in lambda bodies and in no rule: a rule that equated a body
+# with its own application would make the scope walk create body contexts
+# without end (the unbounded lambda instances of the ROADMAP)
+SCOPE_SYMBOLS = [
+    ("if", 3), ("true", 0), ("false", 0), ("eq", 2),
+    ("app", 2), ("lam", 2), ("var", 1), ("x", 0), ("h", 2),
+]
+
+
+def random_term(rng, depth, leaves):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    name, arity = rng.choice(SYMBOLS[:2])
+    args = " ".join(random_term(rng, depth - 1, leaves) for _ in range(arity))
+    return f"({name} {args})"
+
+
+def random_rewrite_program(seed: int) -> tuple[str, bool]:
+    """Seeded rules over f, g and constants, terms under a conditional and a
+    lambda application, and checks at bot and in a branch. Odd seeds give
+    right-hand sides nested two deep; the flag says that every right-hand
+    side is flat instead: a variable, or one application to variables."""
+    rng = random.Random(seed)
+    flat = seed % 2 == 0
+    symbols = [FunctionSymbol(name, arity) for name, arity in SYMBOLS]
+    lines = [f"(function {name} {arity})" for name, arity in SYMBOLS + SCOPE_SYMBOLS]
+    lines += ["(scope-if if true false eq)", "(scope-lambda app lam var)"]
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = random_pattern(rng, symbols, 2, 1)
+        while isinstance(lhs, PatternVar):  # one bare-variable rule follows
+            lhs = random_pattern(rng, symbols, 2, 1)
+        leaves = [f"?{v}" for v in sorted(pattern_vars(lhs))] or ["a", "b"]
+        if flat and leaves[0].startswith("?"):
+            name, arity = rng.choice(SYMBOLS[:2])
+            args = " ".join(rng.choice(leaves) for _ in range(arity))
+            rhs = rng.choice([leaves[0], f"({name} {args})"])
+        elif flat:
+            rhs = rng.choice(leaves)
+        else:
+            rhs = random_term(rng, 2, leaves)
+        rules.append((str(lhs), rhs))
+    if seed % 3 == 0:
+        rules.append(("?v", "(g ?v)"))  # bare variable
+    if seed % 3 == 1:
+        rules.append(("(f ?x ?x)", "?x"))  # nonlinear
+    if seed % 3 == 2:
+        rules.append(("(f a ?y)", "(g ?y)" if flat else "(g (f ?y a))"))  # ground leaf
+    lines += [
+        f"(rule r{i} {lhs} {rhs} :scope everywhere)" for i, (lhs, rhs) in enumerate(rules)
+    ]
+    leaves = ["a", "b", "c"]
+    lines += [f"(term {random_term(rng, 3, leaves)})" for _ in range(2)]
+    cond = rng.choice(["(eq a b)", "(eq (g a) c)", "(eq a (f b c))"])
+    then, els = random_term(rng, 2, leaves), random_term(rng, 2, leaves)
+    lines.append(f"(term (if {cond} {then} {els}))")
+    body = f"(h (var x) {random_term(rng, 2, leaves + ['(var x)'])})"
+    lines.append(f"(term (app (lam x {body}) {rng.choice(leaves)}))")
+    lines.append(f"(run {rng.randint(2, 3) if flat else 2})")
+    for ctx in ("bot", "then"):
+        lines.append(
+            f"(check-equal {ctx} {random_term(rng, 2, leaves)} {random_term(rng, 2, leaves)})"
+        )
+    return "\n".join(lines) + "\n", flat
+
+
+def observed(out):
+    eg = out.engine.eg
+    lat = eg.lattice
+    return (
+        {lat.name(c): eg.uf.partition(c) for c in lat.ids()},
+        len(eg.uf),
+        dict(eg.nodes()),
+        [(r.iterations, r.saturated) for r in out.reports],
+        out.report_json(),
+    )
+
+
+def ids_before_first_run(source: str) -> int:
+    commands = parse_program(source).commands
+    first = next(i for i, cmd in enumerate(commands) if isinstance(cmd, RunCmd))
+    return len(execute(Program(commands[:first])).engine.eg.uf)
+
+
+def observed_on_old_ids(out, n: int):
+    """What a run shows apart from the numbering of fresh ids and the
+    context each union was recorded at: the relation on ids below n at
+    every context, the node count, iterations, checks and class counts."""
+    eg = out.engine.eg
+    lat = eg.lattice
+    report = out.report_json()
+    del report["report"]["unions_per_context"]
+    relation = {
+        lat.name(c): {frozenset(i for i in block if i < n) for block in eg.uf.partition(c)}
+        for c in lat.ids()
+    }
+    return relation, len(eg.nodes()), report
+
+
+def test_semi_naive_run_equals_full_matching_run():
+    """Skipping a match whose rows all predate the rule's last run at a
+    context skips a right-hand side that was already added and merged there.
+    Re-adding one made of variables, or of one application to them, finds
+    the same nodes, so on such rule sets (and on the corpora) both runs are
+    identical. A deeper right-hand side can meet a child merged at bottom
+    since the last rebuild: re-adding it then finds or makes a node that is
+    congruent to the old one but not yet in its class, and the full run
+    merges that at the rule's context, a union rebuild would have made at
+    bottom. Such runs still agree on the relation between ids that existed
+    before the run, and on everything but union counts and fresh ids."""
+    inputs = [(corpus_source(name), True) for name in CORPUS_NAMES]
+    inputs += [random_rewrite_program(seed) for seed in range(200)]
+    totals = [0, 0]
+    for i, (source, exact) in enumerate(inputs):
+        semi = run_source(source)
+        # forgetting every rule's last version makes each iteration match in full
+        full = run_source(source, iteration_hook=lambda e: e._matched_at.clear())
+        if exact:
+            assert observed(semi) == observed(full), f"input {i}"
+        n = ids_before_first_run(source)
+        assert observed_on_old_ids(semi, n) == observed_on_old_ids(full, n), f"input {i}"
+        applied = [sum(r.rule_applications for r in out.reports) for out in (semi, full)]
+        assert applied[0] <= applied[1], f"input {i}"
+        totals = [t + a for t, a in zip(totals, applied)]
+    assert totals[0] < totals[1]
 
 
 def test_add_rule_validation():
