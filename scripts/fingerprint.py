@@ -6,8 +6,10 @@ benchmark's `scopes` and `ac` workloads at seed 1 (`prepare_scopes(1)`,
 `prepare_ac(1)` in perfbench/workloads.py, imported read-only). Each output
 line is a label and a sha256 over everything a run leaves observable: the
 `--json` report, the extracts, `export_dot` and `stats` at every context,
-and the numbers of ids and stored nodes. Two revisions that behave the same
-print the same lines:
+the numbers of ids and stored nodes, and the summed `rule_applications` of
+the run's reports. The last one sees a stamp that is not carried exactly: it
+re-matches old rows, which leaves the relation unchanged but applies more
+rules. Two revisions that behave the same print the same lines:
 
     python3 scripts/fingerprint.py > after.txt
     diff before.txt after.txt
@@ -57,6 +59,7 @@ def digest(source: str) -> str:
         },
         "ids": len(eg.uf),
         "nodes": len(eg.nodes()),
+        "rule_applications": sum(r.rule_applications for r in out.reports),
     }
     text = json.dumps(state, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()

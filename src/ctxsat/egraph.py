@@ -17,6 +17,18 @@ since it last finished, bottom-up, so base repairs feed contextual ones;
 cached views compare the same stamp. Congruence unions discovered at c are
 recorded at c, the lowest context that justifies them.
 
+Change log and repair: the union-find logs every root a layer loses
+(LayeredUnionFind.lost), and add_node records the node each new id was
+created for (`created`). The e-graph owns one ViewCache, `views`, which
+patches each context's cached view from that log and reports the view's
+clashes: two live classes that hold the same canonical row, which
+congruence must merge. Above bottom, a repair unions the clashes of the
+context's view until the patched view reports none, so its cost follows
+what changed. Bottom keeps a pass over the whole store, because that pass
+also re-keys the node store that add_node hash-conses against. The cache
+holds the e-graph weakly, so the two form no reference cycle and reference
+counting frees them.
+
 Class index: every bottom root maps to the stored nodes of its bottom class,
 and every stored node sits in exactly one list, its class's. add_node
 appends, a bottom merge moves the loser's list into the winner's, an
@@ -97,6 +109,11 @@ class EGraph:
         self.version = 0
         self._version_at: dict[ContextId, int] = {}
         self._rebuilt_at = 0
+        # id -> the node it was created for, as add_node saw it
+        self.created: list[ENode] = []
+        from .views import ViewCache  # views imports this module
+
+        self.views = ViewCache(self)
 
     # symbols
 
@@ -141,8 +158,10 @@ class EGraph:
         return self.uf.find(ctx, c)
 
     def canonical_node(self, ctx: ContextId, node: ENode) -> ENode:
-        # node's children must be known ids: they are not validated
-        return ENode(node.symbol, tuple(self.uf._find(ctx, ch) for ch in node.children))
+        # node's children must be known ids: they are not validated. An
+        # unchanged node is returned as is, so views share the store's nodes
+        children = tuple(self.uf._find(ctx, ch) for ch in node.children)
+        return node if children == node.children else ENode(node.symbol, children)
 
     def add_node(self, symbol: FunctionSymbol, children: tuple[ClassId, ...]) -> ClassId:
         """Hash-cons an e-node; fresh nodes start as singleton classes."""
@@ -155,6 +174,7 @@ class EGraph:
         if existing is not None:
             return self.uf.find(BOTTOM, existing)
         cls = self.uf.make_set()
+        self.created.append(node)
         self._nodes[node] = cls
         self._classes[cls] = [node]
         # a new node can collide with old ones under contextual equalities
@@ -234,22 +254,23 @@ class EGraph:
 
     def _repair(self, ctx: ContextId) -> int:
         """Congruence closure at ctx: merge classes whose nodes canonicalize
-        alike, until none do. At bottom it also re-keys the node store and
-        the class index by the canonical nodes."""
+        alike, until none do. Above bottom these are the clashes of ctx's
+        patched view; at bottom one pass over the store finds them and also
+        re-keys the node store and the class index by the canonical nodes."""
         repairs = 0
         while True:
-            sig: dict[ENode, ClassId] = {}
-            merges: list[tuple[ClassId, ClassId]] = []
-            for root, nodes in self._classes.items():
-                cls = self.uf._find(ctx, root)
-                for node in nodes:
-                    canon = self.canonical_node(ctx, node)
-                    other = sig.get(canon)
-                    if other is None:
-                        sig[canon] = cls
-                    elif other != cls:
-                        merges.append((other, cls))
-            if ctx == BOTTOM:
+            if ctx != BOTTOM:
+                merges = self.views.get(ctx).clashes
+            else:
+                sig: dict[ENode, ClassId] = {}
+                merges = []
+                for root, nodes in self._classes.items():
+                    cls = self.uf._find(BOTTOM, root)
+                    for node in nodes:
+                        canon = self.canonical_node(BOTTOM, node)
+                        other = sig.setdefault(canon, cls)
+                        if other != cls:
+                            merges.append((other, cls))
                 # exact once no merges follow; otherwise the next pass replaces it
                 classes: dict[ClassId, list[ENode]] = {}
                 for canon, cls in sig.items():

@@ -20,6 +20,12 @@ Two maintenance duties keep overlays coherent:
 Contexts declared after unions have happened start from a copy of their
 covers' overlays, which preserves order for late arrivals.
 
+Change log: `lost[ctx]` lists, in order, every id that stopped being a root
+in ctx's layer (the base forest for bottom, the overlay otherwise). A root at
+ctx stops being one through a base union or a link in ctx's overlay, so the
+roots ctx lost since some moment are the new entries of `lost[BOTTOM]` and
+`lost[ctx]`; cached views patch themselves from them (see the views module).
+
 Single-writer; partitions are returned as frozen sets safe to share.
 """
 
@@ -40,6 +46,8 @@ class LayeredUnionFind:
         self._overlay: dict[ContextId, dict[int, int]] = {}
         # successful unions per recording context, for reports and saturation checks
         self.unions_at: dict[ContextId, int] = defaultdict(int)
+        # per layer, the roots it lost, in order (see the module docstring)
+        self.lost: dict[ContextId, list[int]] = defaultdict(list)
         for c in lattice.ids():
             if c != BOTTOM:
                 self.register_context(c)
@@ -111,23 +119,28 @@ class LayeredUnionFind:
         """Coarsen lo by every equality shared between c1 and c2.
 
         The new relation at lo is the transitive closure of the old one
-        together with the intersection of the relations at c1 and c2. Ids are
-        grouped on the pair of their representatives in c1 and c2; ids in one
-        group are pairwise equal in both contexts, so they may be merged at
-        lo. Returns the number of merges that were new at lo.
+        together with the intersection of the relations at c1 and c2. Base
+        roots are grouped on the pair of their representatives in c1 and c2;
+        roots in one group are pairwise equal in both contexts, so they may
+        be merged at lo (an id is already merged with its base root). A base
+        root that is an overlay key at neither context is its own
+        representative in both, so only overlay keys need grouping, and a
+        group whose two representatives agree also holds that representative.
+        Returns the number of merges that were new at lo.
         """
         if not (self.lattice.leq(lo, c1) and self.lattice.leq(lo, c2)):
             raise NotBelow(
                 f"intersect target {self.lattice.name(lo)!r} is not below both "
                 f"{self.lattice.name(c1)!r} and {self.lattice.name(c2)!r}"
             )
+        keys = {k for c in (c1, c2) if c != BOTTOM for k in self._overlay_for(c)}
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i in range(len(self._parent)):
-            groups[(self._find(c1, i), self._find(c2, i))].append(i)
+        for k in keys:
+            groups[(self._find(c1, k), self._find(c2, k))].append(k)
         count = 0
-        for members in groups.values():
-            head = members[0]
-            for other in members[1:]:
+        for (r1, r2), members in groups.items():
+            head = r1 if r1 == r2 else members[0]
+            for other in members:
                 if self._union(lo, head, other):
                     count += 1
         return count
@@ -177,6 +190,7 @@ class LayeredUnionFind:
             return False
         winner, loser = min(ra, rb), max(ra, rb)
         self._parent[loser] = winner
+        self.lost[BOTTOM].append(loser)
         for ctx, ov in self._overlay.items():
             if loser in ov:
                 p = ov.pop(loser)
@@ -189,6 +203,7 @@ class LayeredUnionFind:
             return False
         winner, loser = min(ra, rb), max(ra, rb)
         self._overlay[ctx][loser] = winner
+        self.lost[ctx].append(loser)
         return True
 
     def _overlay_for(self, ctx: ContextId) -> dict[int, int]:

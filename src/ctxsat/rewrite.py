@@ -49,7 +49,7 @@ from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy, ViewCache
+from .views import OnTheFlyProvider, Strategy
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class Engine:
         cost_model: CostModel | None = None,
     ):
         self.eg = egraph or EGraph()
-        self.views = ViewCache(self.eg)
+        self.views = self.eg.views
         self.cost_model = cost_model or CostModel()
         self.rules: list[Rule] = []
         self.conditionals: list[ConditionalScope] = []

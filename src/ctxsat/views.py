@@ -4,30 +4,46 @@ A canonical view of a context replaces every child reference with the child's
 representative in that context and deduplicates the resulting nodes. Views of
 coarser contexts are never larger than views of finer ones.
 
-E-matching and lambda lifting read the cached view of a context, rebuilt only
-after a mutation that can change that context (its change version moved; see
-the egraph module), so a merge in one branch keeps the views of its siblings.
-`OnTheFlyProvider` canonicalizes per query instead; it is the reference
-implementation that tests compare the cached view against, and no engine path
-uses it.
+E-matching, lambda lifting and congruence repair above bottom read the
+cached view of a context. The e-graph owns the one cache (`EGraph.views`,
+also `Engine.views`), which replaces a view only after a mutation that can
+change its context (its change version moved; see the egraph module), so a
+merge in one branch keeps the views of its siblings. `OnTheFlyProvider`
+canonicalizes per query instead; it is the reference implementation that
+tests compare the cached view against, and no engine path uses it.
+Extraction, stats and read-only queries build a fresh view.
+
+Patching: a context's first cached view is built by `build_view`; each
+later one is patched from its predecessor and the change log (the roots
+lost at bottom and at the context, the nodes of the ids created since). A
+lost root's rows move into its class now, new ids add their nodes' rows,
+and only those classes and the classes with a row over a lost root
+(`_uses`: child class -> parent classes) are re-canonicalized. `_sig` keeps
+one class per row, and `clashes` lists pairs of live classes holding a
+common row, the predecessor's still apart included: any two classes that
+share a row are joined through them, so merging them restores congruence.
+A superseded view stays readable, but its patch state passes to its
+successor: only the newest view is patched.
 
 Rows and stamps: matching reads a view as rows `(node, class)`, each
 stamped with the version of the first cached view of its context that held
-it. A rebuilt view keeps its predecessor's stamps for the rows they share
-(per class: one int where all its rows agree), and `_rows(symbol, since)`
-gives the rows stamped after `since`: the delta semi-naive matching joins
-from (see the rewrite module). The join's indexes are built on first use.
+it. A patched view keeps the stamps of the rows a class held in its
+predecessor (per class: one int where all its rows agree), and
+`_rows(symbol, since)` gives the rows stamped after `since`: the delta
+semi-naive matching joins from (see the rewrite module). The join's indexes
+are built on first use.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, node_key
-from .lattice import ContextId
+from .lattice import BOTTOM, ContextId
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,14 @@ class CanonicalView:
     # join indexes of class ids, built on first use by the matching thread
     _by_symbol: dict = field(default_factory=dict, compare=False, repr=False)
     _parent_index: dict = field(default_factory=dict, compare=False, repr=False)
+    # pairs of live classes holding a common row; cached views only
+    clashes: list = field(default_factory=list, compare=False, repr=False)
+    # patch state of a cached view (see the module docstring): row -> class,
+    # child class -> tuple of parent classes (ints only, which the cyclic
+    # garbage collector does not track), and the change-log lengths read
+    _sig: dict = field(default_factory=dict, compare=False, repr=False)
+    _uses: dict = field(default_factory=dict, compare=False, repr=False)
+    _marks: tuple = field(default=(0, 0, 0), compare=False, repr=False)
 
     def class_ids(self) -> list[ClassId]:
         return sorted(self.classes)
@@ -95,35 +119,105 @@ def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     return CanonicalView(ctx, classes, eg.version_at(ctx))
 
 
-def _carry_stamps(view: CanonicalView, previous: CanonicalView) -> None:
-    """Give the rows of view that previous, an earlier view of the same
-    context, already held their stamps there."""
-    for c, nodes in view.classes.items():
-        old = previous.classes.get(c)
-        if old is not None:
-            stamp = previous._stamps.get(c, previous.version)
-            if old != nodes:
-                seen = dict(zip(old, repeat(stamp) if isinstance(stamp, int) else stamp))
-                stamp = tuple(seen.get(n, view.version) for n in nodes)
-                stamp = stamp[0] if len(set(stamp)) == 1 else stamp
-            view._stamps[c] = stamp
+def _marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
+    return len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)
+
+
+def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
+    """Record rows of class c in the view's sig and uses, and a clash with
+    the class already holding a row."""
+    sig, uses = view._sig, view._uses
+    for row in rows:
+        other = sig.setdefault(row, c)
+        if other != c:
+            view.clashes.append((other, c))
+        for ch in row.children:
+            parents = uses.get(ch, ())
+            if c not in parents:
+                uses[ch] = (*parents, c)
+
+
+def _carried(nodes: tuple, old: tuple, stamp, version: int):
+    """Stamp of a class holding nodes whose rows were old, stamped stamp."""
+    if old == nodes:
+        return stamp
+    seen = dict(zip(old, repeat(stamp) if isinstance(stamp, int) else stamp))
+    stamp = tuple(seen.get(n, version) for n in nodes)
+    return stamp[0] if len(set(stamp)) == 1 else stamp
+
+
+def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
+    """The current view of prev's context, patched from prev and the change
+    log since it; takes over prev's sig and uses."""
+    ctx, find = prev.context, eg.uf._find
+    sig, uses = prev._sig, prev._uses
+    n_bot, n_ctx, n_ids = prev._marks
+    # at bottom the two logs are one; a root met twice is skipped
+    lost = eg.uf.lost[BOTTOM][n_bot:] + eg.uf.lost[ctx][n_ctx:]
+    classes = prev.classes.copy()
+    stamps = prev._stamps.copy()
+    # dirty class -> rows to add to it; into: lost class -> its class now
+    dirty: dict[ClassId, list[ENode]] = {}
+    into: dict[ClassId, ClassId] = {}
+    for x in lost:
+        rows = classes.pop(x, None)
+        if rows is None:
+            continue
+        del stamps[x]
+        into[x] = t = find(ctx, x)
+        dirty.setdefault(t, []).extend(rows)
+        for p in uses.pop(x, ()):
+            dirty.setdefault(find(ctx, p), [])
+    for i in range(n_ids, len(eg.uf)):
+        dirty.setdefault(find(ctx, i), []).append(eg.created[i])
+    # drop the rows of dirty classes from sig before re-adding any, so that
+    # a row they still hold and a clean class holds too is reported
+    for t, added in dirty.items():
+        for row in (*classes.get(t, ()), *added):
+            other = sig.get(row)
+            if other == t or into.get(other) == t:
+                del sig[row]
+    view = CanonicalView(
+        ctx, classes, eg.version_at(ctx), stamps, _sig=sig, _uses=uses,
+        _marks=_marks(eg, ctx),
+    )
+    for a, b in prev.clashes:
+        if find(ctx, a) != find(ctx, b):
+            view.clashes.append((find(ctx, a), find(ctx, b)))
+    for t, added in dirty.items():
+        rows = {eg.canonical_node(ctx, n) for n in (*classes.get(t, ()), *added)}
+        classes[t] = nodes = tuple(sorted(rows, key=node_key))
+        old = prev.classes.get(t, ())
+        stamps[t] = _carried(nodes, old, stamps.get(t, view.version), view.version)
+        _add_rows(view, t, nodes)
+    return view
 
 
 class ViewCache:
     """Materialized views keyed by context; a view is reused until the
-    context's change version (`EGraph.version_at`) moves past its stamp."""
+    context's change version (`EGraph.version_at`) moves past its stamp,
+    then patched (see the module docstring). Holds the e-graph weakly: the
+    e-graph owns its cache, and a cycle would leave both to the cyclic
+    garbage collector."""
 
     def __init__(self, eg: EGraph):
-        self.eg = eg
+        self._eg = weakref.ref(eg)
         self._views: dict[ContextId, CanonicalView] = {}
 
     def get(self, ctx: ContextId) -> CanonicalView:
+        eg = self._eg()
         view = self._views.get(ctx)
-        if view is None or view.version != self.eg.version_at(ctx):
-            previous, view = view, build_view(self.eg, ctx)
-            if previous is not None:
-                _carry_stamps(view, previous)
-            self._views[ctx] = view
+        if view is None:
+            view = replace(build_view(eg, ctx), _marks=_marks(eg, ctx))
+            # every class stamped explicitly, so that a patch can copy stamps
+            view._stamps.update(dict.fromkeys(view.classes, view.version))
+            for c, nodes in view.classes.items():
+                _add_rows(view, c, nodes)
+        elif view.version != eg.version_at(ctx):
+            view = _patch(eg, view)
+        else:
+            return view
+        self._views[ctx] = view
         return view
 
 

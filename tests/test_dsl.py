@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -116,6 +118,21 @@ def test_max_iterations_override_caps_runs():
     out = run_source(corpus_source("conditional"), max_iterations=1)
     assert sum(r.iterations for r in out.reports) == 1
     assert not out.reports[-1].saturated
+
+
+def test_egraph_is_freed_by_reference_counting():
+    # the e-graph's view cache must not hold it in a reference cycle, which
+    # only the cyclic collector would free
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = run_source(corpus_source("nested-conditional-2"))
+        eg = weakref.ref(out.engine.eg)
+        del out
+        assert eg() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cli(*args):

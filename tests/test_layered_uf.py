@@ -208,6 +208,13 @@ def test_thousand_random_scripts_match_oracle():
         run_random_script(seed)
 
 
+def test_larger_random_scripts_match_oracle():
+    # more ids and contexts: overlays with chains of keys, and intersections
+    # whose groups mix overlay keys with their representatives
+    for seed in range(300):
+        run_random_script(seed + 50000, n_ops=80, max_ids=40, max_ctx=8)
+
+
 def test_order_preservation_and_quotient_properties():
     for seed in range(400):
         lat, uf = run_random_script(seed * 7919 + 13)

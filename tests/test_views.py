@@ -15,6 +15,7 @@ import pytest
 from ctxsat.egraph import node_key
 from ctxsat.views import OnTheFlyProvider
 
+from oracles import naive_contextual_congruence
 from test_egraph import random_egraph
 from test_rewrite import match_set, random_pattern
 
@@ -204,3 +205,49 @@ def test_view_cache_rebuilds_only_views_above_a_change():
                 views[ctx] = view
     # effective changes below the top left views to reuse
     assert reused >= 200
+
+
+def test_patched_views_track_interleaved_reads_and_rebuilds():
+    """Seeded mutations with reads of the e-graph's own cache between them.
+    A view read between mutations can report clashes that only a later
+    rebuild merges, so its successor has to carry them."""
+    kinds = ["merge", "merge", "add-node", "intersect", "declare-context"]
+    rebuilds = clashed = 0
+    for seed in range(150):
+        eg, merges, node_list = random_egraph(seed + 13000, 24, 6)
+        rng = random.Random(seed)
+        lat = eg.lattice
+        for step in range(14):
+            kind = rng.choice(kinds)
+            classes = list(eg.nodes().values())
+            ctx = rng.randrange(len(lat))
+            if kind == "merge":
+                a, b = rng.choice(classes), rng.choice(classes)
+                eg.merge(ctx, a, b)
+                merges.append((ctx, a, b))
+            elif kind == "add-node":
+                sym = rng.choice(eg.symbols())
+                children = tuple(rng.choice(classes) for _ in range(sym.arity))
+                node_list.append((sym.name, children, eg.add_node(sym, children)))
+            elif kind == "intersect":
+                c1, c2 = rng.randrange(len(lat)), rng.randrange(len(lat))
+                lo = rng.choice([c for c in lat.ids() if lat.leq(c, c1) and lat.leq(c, c2)])
+                eg.intersect_into(lo, c1, c2)
+                # the promoted equalities, as merges the oracle can replay
+                merges += [(lo, min(b), i) for b in eg.uf.partition(lo) for i in b]
+            elif len(lat) < 10:
+                eg.declare_context(f"new{step}", {ctx})
+            for c in rng.sample(list(lat.ids()), k=min(3, len(lat))):
+                view = eg.views.get(c)
+                clashed += bool(view.clashes)
+                assert view.classes == build_view(eg, c).classes, f"seed={seed} step={step}"
+            if rng.random() < 0.3 or step == 13:
+                rebuilds += 1
+                eg.rebuild()
+                oracle = naive_contextual_congruence(lat, node_list, len(eg.uf), merges)
+                for c in lat.ids():
+                    assert eg.uf.partition(c) == oracle[c], f"seed={seed} step={step} ctx={c}"
+                    view = eg.views.get(c)
+                    assert not view.clashes, f"seed={seed} step={step} ctx={c}"
+                    assert view.classes == build_view(eg, c).classes
+    assert rebuilds >= 600 and clashed >= 400
