@@ -336,7 +336,10 @@ def _build_command(sexp) -> Command:
     args = sexp.items[1:]
     if head == "function":
         _arity(sexp, 2, 2, "function")
-        return FunctionCmd(_expect_atom(args[0], "name"), _expect_int(args[1], "arity"))
+        name, arity = _expect_atom(args[0], "name"), _expect_int(args[1], "arity")
+        if arity < 0:
+            raise DslSyntaxError("arity must be >= 0", sexp.line, sexp.col)
+        return FunctionCmd(name, arity)
     if head == "context":
         _arity(sexp, 2, 2, "context")
         name = _expect_atom(args[0], "name")

@@ -22,20 +22,13 @@ Change log and repair: the union-find logs every root a layer loses
 created for (`created`). The e-graph owns one ViewCache, `views`, which
 patches each context's cached view from that log and reports the view's
 clashes: two live classes that hold the same canonical row, which
-congruence must merge. Above bottom, a repair unions the clashes of the
-context's view until the patched view reports none, so its cost follows
-what changed. Bottom keeps a pass over the whole store, because that pass
-also re-keys the node store that add_node hash-conses against. The cache
-holds the e-graph weakly, so the two form no reference cycle and reference
-counting frees them.
-
-Class index: every bottom root maps to the stored nodes of its bottom class,
-and every stored node sits in exactly one list, its class's. add_node
-appends, a bottom merge moves the loser's list into the winner's, an
-intersection into bottom regroups the lists, and the bottom repair pass,
-which re-keys every node, rebuilds them. A class at a higher context is the
-union of the bottom classes its overlay joins (LayeredUnionFind.class_roots),
-so per-context membership never scans the whole node store.
+congruence must merge. A repair, at bottom as at every other context,
+unions the clashes of the context's view until the patched view reports
+none, so its cost follows what changed. The bottom view is the class index
+(`classes`): bottom root -> its bottom-canonical nodes. Once bottom is
+repaired, the node store that add_node hash-conses against is re-keyed from
+the rows of that view. The cache holds the e-graph weakly, so the two form
+no reference cycle and reference counting frees them.
 
 Single-writer: all mutation goes through one engine thread. Reads between
 mutations (stats, class_nodes, find) are safe to share.
@@ -48,6 +41,7 @@ from dataclasses import dataclass
 from .errors import (
     ArityMismatch,
     DuplicateSymbol,
+    NegativeArity,
     UnknownNode,
     UnknownSymbol,
 )
@@ -102,8 +96,6 @@ class EGraph:
         self._arities: dict[str, set[int]] = {}
         # node -> class holding it; keys use bottom-canonical children
         self._nodes: dict[ENode, ClassId] = {}
-        # bottom root -> stored nodes of that class (see module docstring)
-        self._classes: dict[ClassId, list[ENode]] = {}
         # bumped on every effective mutation; per context, the last bump
         # visible there (see module docstring)
         self.version = 0
@@ -118,6 +110,8 @@ class EGraph:
     # symbols
 
     def declare_function(self, name: str, arity: int) -> FunctionSymbol:
+        if arity < 0:
+            raise NegativeArity(f"function {name} declared with arity {arity}")
         key = (name, arity)
         if key in self._symbols:
             raise DuplicateSymbol(f"function {name}/{arity} already declared")
@@ -176,7 +170,6 @@ class EGraph:
         cls = self.uf.make_set()
         self.created.append(node)
         self._nodes[node] = cls
-        self._classes[cls] = [node]
         # a new node can collide with old ones under contextual equalities
         self._mutated(BOTTOM)
         return cls
@@ -193,13 +186,7 @@ class EGraph:
 
     def merge(self, ctx: ContextId, a: ClassId, b: ClassId) -> ClassId:
         """Union two classes at ctx (visible at every context above)."""
-        if ctx == BOTTOM:
-            ra, rb = self.uf.find(BOTTOM, a), self.uf.find(BOTTOM, b)
         if self.uf.union_new(ctx, a, b):
-            if ctx == BOTTOM:
-                winner = self.uf._find(BOTTOM, ra)
-                loser = rb if winner == ra else ra
-                self._classes[winner].extend(self._classes.pop(loser))
             self._mutated(ctx)
         return self.uf.find(ctx, a)
 
@@ -210,11 +197,6 @@ class EGraph:
         """Promote equalities shared by c1 and c2 down to lo."""
         n = self.uf.intersect_into(lo, c1, c2)
         if n:
-            if lo == BOTTOM:
-                regrouped: dict[ClassId, list[ENode]] = {}
-                for root, nodes in self._classes.items():
-                    regrouped.setdefault(self.uf._find(BOTTOM, root), []).extend(nodes)
-                self._classes = regrouped
             self._mutated(lo)
         return n
 
@@ -235,8 +217,8 @@ class EGraph:
         """Restore per-context congruence; returns the number of repairs.
 
         Repairs every context stamped since the last rebuild in one bottom-up
-        sweep, which reaches the fixpoint: only the bottom pass changes the
-        bottom relation, a pass at ctx writes unions only into the upset of
+        sweep, which reaches the fixpoint: only the bottom repair changes the
+        bottom relation, a repair at ctx writes unions only into the upset of
         ctx, and topo_order puts that upset after ctx. The stamped contexts
         are upward closed, since a mutation stamps its whole upset; any other
         context is unchanged since the last rebuild left it congruent.
@@ -253,43 +235,25 @@ class EGraph:
         return repairs
 
     def _repair(self, ctx: ContextId) -> int:
-        """Congruence closure at ctx: merge classes whose nodes canonicalize
-        alike, until none do. Above bottom these are the clashes of ctx's
-        patched view; at bottom one pass over the store finds them and also
-        re-keys the node store and the class index by the canonical nodes."""
+        """Congruence closure at ctx: merge the clashes of ctx's patched view
+        (classes whose nodes canonicalize alike) until it reports none. At
+        bottom, then re-key the node store by the repaired view's rows."""
         repairs = 0
-        while True:
-            if ctx != BOTTOM:
-                merges = self.views.get(ctx).clashes
-            else:
-                sig: dict[ENode, ClassId] = {}
-                merges = []
-                for root, nodes in self._classes.items():
-                    cls = self.uf._find(BOTTOM, root)
-                    for node in nodes:
-                        canon = self.canonical_node(BOTTOM, node)
-                        other = sig.setdefault(canon, cls)
-                        if other != cls:
-                            merges.append((other, cls))
-                # exact once no merges follow; otherwise the next pass replaces it
-                classes: dict[ClassId, list[ENode]] = {}
-                for canon, cls in sig.items():
-                    classes.setdefault(cls, []).append(canon)
-                self._nodes = sig
-                self._classes = classes
-            if not merges:
-                return repairs
-            for a, b in merges:
+        while (view := self.views.get(ctx)).clashes:
+            for a, b in view.clashes:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
             self._mutated(ctx)
+        if ctx == BOTTOM:
+            self._nodes = {row: c for c, rows in view.classes.items() for row in rows}
+        return repairs
 
     # views
 
     def class_ids(self, ctx: ContextId) -> list[ClassId]:
         """Canonical representatives of every class at ctx, ascending."""
         self.lattice.check(ctx)
-        return sorted({self.uf._find(ctx, root) for root in self._classes})
+        return sorted({self.uf._find(ctx, c) for c in set(self._nodes.values())})
 
     def class_of_node(self, node: ENode) -> ClassId:
         canon = self.canonical_node(BOTTOM, node)
@@ -301,16 +265,18 @@ class EGraph:
     def nodes(self) -> dict[ENode, ClassId]:
         return self._nodes
 
-    def classes(self) -> dict[ClassId, list[ENode]]:
-        """The class index: bottom root -> stored nodes, as stored. Read-only."""
-        return self._classes
+    def classes(self) -> dict[ClassId, tuple[ENode, ...]]:
+        """The class index, the bottom view: root -> canonical nodes. Read-only."""
+        return self.views.get(BOTTOM).classes
 
     def class_nodes(self, ctx: ContextId, c: ClassId) -> set[ENode]:
-        """Deduplicated ctx-canonical nodes of c's class at ctx."""
+        """Deduplicated ctx-canonical nodes of c's class at ctx, by a scan of
+        the node store (a reference the cached views are tested against)."""
+        r = self.find(ctx, c)
         return {
             self.canonical_node(ctx, node)
-            for root in self.uf.class_roots(ctx, c)
-            for node in self._classes[root]
+            for node, cls in self._nodes.items()
+            if self.uf._find(ctx, cls) == r
         }
 
     def stats(self, ctx: ContextId) -> tuple[int, int]:

@@ -37,6 +37,10 @@ class ArityMismatch(CtxSatError):
     pass
 
 
+class NegativeArity(CtxSatError):
+    """A function symbol was declared with an arity below zero."""
+
+
 class DuplicateSymbol(CtxSatError):
     pass
 

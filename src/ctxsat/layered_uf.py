@@ -98,12 +98,9 @@ class LayeredUnionFind:
     def equiv(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
         return self.find(ctx, a) == self.find(ctx, b)
 
-    def union(self, ctx: ContextId, a: NodeId, b: NodeId) -> NodeId:
-        self.union_new(ctx, a, b)
-        return self.find(ctx, a)
-
     def union_new(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
-        """Like union, but report whether anything actually merged at ctx."""
+        """Union a and b at ctx (and above); report whether anything merged
+        at ctx."""
         self._check_node(a)
         self._check_node(b)
         return self._union(ctx, a, b)
@@ -144,18 +141,6 @@ class LayeredUnionFind:
                 if self._union(lo, head, other):
                     count += 1
         return count
-
-    def class_roots(self, ctx: ContextId, x: NodeId) -> list[NodeId]:
-        """Base roots of x's class at ctx, the ctx representative first.
-
-        A base root other than the representative joins the class only
-        through an overlay link, so scanning ctx's overlay keys suffices:
-        O(delta) finds, independent of the number of ids.
-        """
-        r = self.find(ctx, x)
-        if ctx == BOTTOM:
-            return [r]
-        return [r] + [k for k in list(self._overlay_for(ctx)) if self._find(ctx, k) == r]
 
     def total_unions(self) -> int:
         return sum(self.unions_at.values())

@@ -4,34 +4,37 @@ A canonical view of a context replaces every child reference with the child's
 representative in that context and deduplicates the resulting nodes. Views of
 coarser contexts are never larger than views of finer ones.
 
-E-matching, lambda lifting and congruence repair above bottom read the
-cached view of a context. The e-graph owns the one cache (`EGraph.views`,
-also `Engine.views`), which replaces a view only after a mutation that can
-change its context (its change version moved; see the egraph module), so a
-merge in one branch keeps the views of its siblings. `OnTheFlyProvider`
-canonicalizes per query instead; it is the reference implementation that
-tests compare the cached view against, and no engine path uses it.
-Extraction, stats and read-only queries build a fresh view.
+E-matching, lambda lifting and congruence repair read the cached view of a
+context, and the bottom view is the e-graph's class index. The e-graph owns
+the one cache (`EGraph.views`, also `Engine.views`), which replaces a view
+only after a mutation that can change its context (its change version
+moved; see the egraph module), so a merge in one branch keeps the views of
+its siblings. `OnTheFlyProvider` canonicalizes per query instead; it is the
+reference implementation that tests compare the cached view against, and no
+engine path uses it. Extraction builds a fresh view with `build_view`, which
+tests also take as the reference; stats and read-only queries scan the node
+store.
 
-Patching: a context's first cached view is built by `build_view`; each
-later one is patched from its predecessor and the change log (the roots
-lost at bottom and at the context, the nodes of the ids created since). A
-lost root's rows move into its class now, new ids add their nodes' rows,
-and only those classes and the classes with a row over a lost root
-(`_uses`: child class -> parent classes) are re-canonicalized. `_sig` keeps
-one class per row, and `clashes` lists pairs of live classes holding a
-common row, the predecessor's still apart included: any two classes that
-share a row are joined through them, so merging them restores congruence.
-A superseded view stays readable, but its patch state passes to its
-successor: only the newest view is patched.
+Patching: every cached view is patched from its predecessor and the change
+log (the roots lost at bottom and at the context, the nodes of the ids
+created since). Bottom's first view is patched from an empty one; any other
+context's first view is a copy of the bottom view patched from the whole log
+of the context's layer. A lost root's rows move into its class now, new ids
+add their nodes' rows, and only those classes and the classes with a row
+over a lost root (`_uses`: child class -> parent classes) are
+re-canonicalized. `_sig` keeps one class per row, and `clashes` lists pairs
+of live classes holding a common row, the predecessor's still apart
+included: any two classes that share a row are joined through them, so
+merging them restores congruence. A superseded view stays readable, but its
+patch state passes to its successor: only the newest view is patched.
 
 Rows and stamps: matching reads a view as rows `(node, class)`, each
-stamped with the version of the first cached view of its context that held
-it. A patched view keeps the stamps of the rows a class held in its
-predecessor (per class: one int where all its rows agree), and
-`_rows(symbol, since)` gives the rows stamped after `since`: the delta
-semi-naive matching joins from (see the rewrite module). The join's indexes
-are built on first use.
+stamped with the version of the first cached view that held it (a first
+view keeps the stamps of the bottom rows it copies). A patched view keeps
+the stamps of the rows a class held in its predecessor (per class: one int
+where all its rows agree), and `_rows(symbol, since)` gives the rows stamped
+after `since`: the delta semi-naive matching joins from (see the rewrite
+module). The join's indexes are built on first use.
 """
 
 from __future__ import annotations
@@ -111,16 +114,14 @@ class CanonicalView:
 
 
 def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
+    """A fresh view of ctx from a scan of the node store."""
     eg.lattice.check(ctx)
+    rep = {c: eg.uf._find(ctx, c) for c in set(eg.nodes().values())}
     grouped: dict[ClassId, set[ENode]] = defaultdict(set)
-    for root, nodes in eg.classes().items():
-        grouped[eg.uf._find(ctx, root)].update(eg.canonical_node(ctx, n) for n in nodes)
+    for node, c in eg.nodes().items():
+        grouped[rep[c]].add(eg.canonical_node(ctx, node))
     classes = {c: tuple(sorted(ns, key=node_key)) for c, ns in grouped.items()}
     return CanonicalView(ctx, classes, eg.version_at(ctx))
-
-
-def _marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
-    return len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)
 
 
 def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
@@ -179,7 +180,7 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
                 del sig[row]
     view = CanonicalView(
         ctx, classes, eg.version_at(ctx), stamps, _sig=sig, _uses=uses,
-        _marks=_marks(eg, ctx),
+        _marks=(len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)),
     )
     for a, b in prev.clashes:
         if find(ctx, a) != find(ctx, b):
@@ -207,18 +208,24 @@ class ViewCache:
     def get(self, ctx: ContextId) -> CanonicalView:
         eg = self._eg()
         view = self._views.get(ctx)
-        if view is None:
-            view = replace(build_view(eg, ctx), _marks=_marks(eg, ctx))
-            # every class stamped explicitly, so that a patch can copy stamps
-            view._stamps.update(dict.fromkeys(view.classes, view.version))
-            for c, nodes in view.classes.items():
-                _add_rows(view, c, nodes)
-        elif view.version != eg.version_at(ctx):
-            view = _patch(eg, view)
-        else:
+        if view is not None and view.version == eg.version_at(ctx):
             return view
-        self._views[ctx] = view
+        # a seed is patched even when its version is current: its marks
+        # leave ctx's log to read
+        view = self._views[ctx] = _patch(eg, view or self._seed(eg, ctx))
         return view
+
+    def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
+        """What ctx's first view is patched from: at bottom an empty view, else
+        a copy of the bottom view with ctx's whole layer log still to read."""
+        eg.lattice.check(ctx)
+        if ctx == BOTTOM:
+            return CanonicalView(BOTTOM, {}, 0)
+        bot = self.get(BOTTOM)
+        return replace(
+            bot, context=ctx, _sig=bot._sig.copy(), _uses=bot._uses.copy(),
+            _marks=(bot._marks[0], 0, bot._marks[2]),
+        )
 
 
 class Strategy(enum.Enum):

@@ -41,6 +41,12 @@ def test_unknown_command_and_arity_errors():
         parse_program("(run 1 2)")
 
 
+def test_negative_function_arity_is_a_parse_error():
+    with pytest.raises(DslSyntaxError) as e:
+        parse_program("(function a 0)\n  (function f -1)")
+    assert (e.value.line, e.value.col) == (2, 3)
+
+
 def test_unbound_rhs_variable_is_a_parse_error():
     with pytest.raises(UnboundRhsVariable):
         parse_program("(rule r (f ?x) (g ?y) :scope everywhere)")
@@ -170,6 +176,15 @@ def test_cli_parse_error_exit_code(tmp_path):
         assert res.returncode == 2
         assert res.stderr.startswith("error")
         assert "Traceback" not in res.stderr
+
+
+def test_cli_negative_function_arity_exits_2(tmp_path):
+    bad = tmp_path / "bad.ctx"
+    bad.write_text("(function f -1)\n")
+    res = cli("run", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error") and "1:1: arity must be >= 0" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_rejects_negative_max_iters():

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from ctxsat.egraph import EGraph, term
-from ctxsat.errors import ArityMismatch, DuplicateSymbol, NotALattice, UnknownSymbol
+from ctxsat.errors import (
+    ArityMismatch,
+    DuplicateSymbol,
+    NegativeArity,
+    NotALattice,
+    UnknownSymbol,
+)
 from ctxsat.lattice import BOTTOM, ContextLattice
 
 from oracles import blocks_to_pairs, naive_contextual_congruence
@@ -23,6 +29,13 @@ def test_declare_function_duplicate():
     eg.declare_function("true", 0)
     with pytest.raises(DuplicateSymbol):
         eg.declare_function("mul", 2)
+
+
+def test_declare_function_negative_arity():
+    eg = EGraph()
+    with pytest.raises(NegativeArity):
+        eg.declare_function("f", -1)
+    assert eg.symbols() == []
 
 
 def test_intern_is_idempotent():
@@ -79,6 +92,21 @@ def test_rebuild_without_pending_is_free():
     eg.intern(term("mul", term("x"), term("y")))
     assert eg.rebuild() > -1
     assert eg.rebuild() == 0
+
+
+def test_bottom_repair_rekeys_the_node_store():
+    # (g b) is stored under b; once b joins a at bottom, interning (g a)
+    # must find it under its new key instead of making a new class
+    eg = EGraph()
+    for name, arity in [("g", 1), ("a", 0), ("b", 0)]:
+        eg.declare_function(name, arity)
+    a = eg.intern(term("a"))
+    gb = eg.intern(term("g", term("b")))
+    eg.merge(BOTTOM, eg.intern(term("b")), a)
+    eg.rebuild()
+    ids = len(eg.uf)
+    assert eg.intern(term("g", term("a"))) == eg.find(BOTTOM, gb)
+    assert len(eg.uf) == ids
 
 
 def test_congruence_cascades_upward():

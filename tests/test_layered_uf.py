@@ -38,7 +38,7 @@ def test_fresh_id_is_singleton_in_every_context():
 
 def test_contextual_union_invisible_below():
     lat, uf, then, els, (a, b, *_) = branch_setup()
-    uf.union(then, a, b)
+    uf.union_new(then, a, b)
     assert uf.find(then, a) == uf.find(then, b)
     assert uf.find(BOTTOM, a) != uf.find(BOTTOM, b)
     assert uf.find(els, a) != uf.find(els, b)
@@ -46,7 +46,7 @@ def test_contextual_union_invisible_below():
 
 def test_bottom_union_visible_everywhere():
     lat, uf, then, els, (a, b, *_) = branch_setup()
-    uf.union(BOTTOM, a, b)
+    uf.union_new(BOTTOM, a, b)
     for c in lat.ids():
         assert uf.equiv(c, a, b)
 
@@ -54,39 +54,41 @@ def test_bottom_union_visible_everywhere():
 def test_union_is_reflexive_noop():
     lat, uf, then, els, (a, *_) = branch_setup()
     before = uf.partition(then)
-    uf.union(then, a, a)
+    uf.union_new(then, a, a)
     assert uf.partition(then) == before
 
 
 def test_transitivity_chain():
     lat, uf, then, els, (a, b, c, d) = branch_setup()
-    uf.union(then, a, b)
-    uf.union(then, b, d)
+    uf.union_new(then, a, b)
+    uf.union_new(then, b, d)
     assert uf.equiv(then, a, d)
     assert not uf.equiv(BOTTOM, a, d)
 
 
 def test_smaller_id_is_representative():
     lat, uf, then, els, (a, b, c, d) = branch_setup()
-    assert uf.union(BOTTOM, d, b) == b
-    assert uf.union(then, c, a) == a
+    uf.union_new(BOTTOM, d, b)
+    uf.union_new(then, c, a)
+    assert uf.find(BOTTOM, d) == b
+    assert uf.find(then, c) == a
 
 
 def test_partition_counts_monotone_up_the_lattice():
     lat, uf, then, els, (a, b, c, d) = branch_setup()
-    uf.union(then, a, b)
-    uf.union(then, c, d)
-    uf.union(BOTTOM, a, c)
+    uf.union_new(then, a, b)
+    uf.union_new(then, c, d)
+    uf.union_new(BOTTOM, a, c)
     assert len(uf.partition(then)) <= len(uf.partition(BOTTOM))
 
 
 def test_intersection_promotes_shared_equalities():
     # ternary-elimination shape: tern ~ body ~ true in both branches
     lat, uf, then, els, (tern, true, gt, le) = branch_setup()
-    uf.union(then, tern, gt)
-    uf.union(then, gt, true)
-    uf.union(els, tern, le)
-    uf.union(els, le, true)
+    uf.union_new(then, tern, gt)
+    uf.union_new(then, gt, true)
+    uf.union_new(els, tern, le)
+    uf.union_new(els, le, true)
     assert not uf.equiv(BOTTOM, tern, true)
     n = uf.intersect_into(BOTTOM, then, els)
     assert n == 1
@@ -97,8 +99,8 @@ def test_intersection_promotes_shared_equalities():
 
 def test_intersection_with_itself_promotes_everything():
     lat, uf, then, els, (a, b, c, d) = branch_setup()
-    uf.union(then, a, b)
-    uf.union(then, c, d)
+    uf.union_new(then, a, b)
+    uf.union_new(then, c, d)
     uf.intersect_into(BOTTOM, then, then)
     assert uf.partition(BOTTOM) == uf.partition(then)
 
@@ -124,8 +126,8 @@ def test_late_context_sees_earlier_unions():
     s = lat.declare_context("s", {BOTTOM})
     uf = LayeredUnionFind(lat)
     a, b, c = (uf.make_set() for _ in range(3))
-    uf.union(s, a, b)
-    uf.union(BOTTOM, b, c)
+    uf.union_new(s, a, b)
+    uf.union_new(BOTTOM, b, c)
     t = lat.declare_context("t", {s})
     uf.register_context(t)
     assert uf.equiv(t, a, b)
@@ -140,12 +142,12 @@ def test_base_union_rekeys_overlay_entries():
     s = lat.declare_context("s", {BOTTOM})
     uf = LayeredUnionFind(lat)
     i0, i1, i2, i3, i4, i5 = (uf.make_set() for _ in range(6))
-    uf.union(s, i5, i2)      # overlay entry keyed 5
-    uf.union(BOTTOM, i3, i5)  # 5's base root becomes 3
+    uf.union_new(s, i5, i2)      # overlay entry keyed 5
+    uf.union_new(BOTTOM, i3, i5)  # 5's base root becomes 3
     assert uf.equiv(s, i5, i2)
     assert uf.equiv(s, i3, i2)
     assert not uf.equiv(BOTTOM, i5, i2)
-    uf.union(BOTTOM, i0, i3)  # and again down to 0
+    uf.union_new(BOTTOM, i0, i3)  # and again down to 0
     assert uf.equiv(s, i0, i2)
     assert uf.find(s, i2) == 0
 
@@ -183,7 +185,7 @@ def run_random_script(seed: int, n_ops: int = 18, max_ids: int = 8, max_ctx: int
         elif op < 0.8 and ref.n >= 2:
             ctx = rng.randrange(len(lat))
             a, b = rng.randrange(ref.n), rng.randrange(ref.n)
-            uf.union(ctx, a, b)
+            uf.union_new(ctx, a, b)
             ref.union(ctx, a, b)
         elif ref.n >= 2:
             c1, c2 = rng.randrange(len(lat)), rng.randrange(len(lat))
