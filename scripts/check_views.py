@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Check every cached view that the fingerprint programs make.
+
+Runs `fingerprint.programs()` (the shipped corpora and the benchmark's seed-1
+`scopes` and `ac` programs) with `ViewCache.get` wrapped from outside. Each
+time a get returns a view it has not returned before for that cache and
+context, three things must hold:
+
+- its classes equal those of a fresh `build_view`;
+- `_rows(symbol, since)`, with since the version of the context's previous
+  view (-1 for its first), lists the rows held now and not then;
+- `_parents(symbol, pos, child)` equals a brute-force filter of its classes.
+
+Prints the number of views checked, or the first mismatch and exits 1:
+
+    python3 scripts/check_views.py
+
+Run from anywhere; it imports ctxsat from this checkout's src/.
+"""
+
+import sys
+import weakref
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(Path(__file__).parent)]
+
+from ctxsat.dsl import run_source  # noqa: E402
+from ctxsat.views import ViewCache, build_view  # noqa: E402
+
+from fingerprint import programs  # noqa: E402
+from oracles import view_index_mismatch  # noqa: E402
+
+
+class ViewChecker:
+    """Checks each view a wrapped `ViewCache.get` returns for the first time."""
+
+    def __init__(self):
+        self.checked = 0
+        # cache -> context -> the last view its get returned
+        self._last = weakref.WeakKeyDictionary()
+
+    def wrap(self, get):
+        def checked_get(cache, ctx):
+            view = get(cache, ctx)
+            last = self._last.setdefault(cache, {})
+            prev = last.get(ctx)
+            if view is not prev:
+                eg = cache._eg()
+                if view.classes != build_view(eg, ctx).classes:
+                    raise AssertionError(f"classes at context {ctx} differ from build_view")
+                got = view_index_mismatch(view, prev, eg.symbols())
+                if got is not None:
+                    raise AssertionError(got)
+                last[ctx] = view
+                self.checked += 1
+            return view
+
+        return checked_get
+
+
+def main() -> int:
+    checker = ViewChecker()
+    ViewCache.get = checker.wrap(ViewCache.get)
+    # the workloads' set-up runs programs too
+    label = "workload set-up"
+    try:
+        for label, source in programs():
+            run_source(source)
+    except AssertionError as e:
+        print(f"{label}: {e}")
+        return 1
+    print(f"{checker.checked} views checked")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

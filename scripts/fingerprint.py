@@ -7,9 +7,9 @@ benchmark's `scopes` and `ac` workloads at seed 1 (`prepare_scopes(1)`,
 line is a label and a sha256 over everything a run leaves observable: the
 `--json` report, the extracts, `export_dot` and `stats` at every context,
 the numbers of ids and stored nodes, and the summed `rule_applications` of
-the run's reports. The last one sees a stamp that is not carried exactly: it
-re-matches old rows, which leaves the relation unchanged but applies more
-rules. Two revisions that behave the same print the same lines:
+the run's reports. The last one sees a row log that does not give exactly
+the new rows: re-matching old rows leaves the relation unchanged but applies
+more rules. Two revisions that behave the same print the same lines:
 
     python3 scripts/fingerprint.py > after.txt
     diff before.txt after.txt

@@ -8,8 +8,9 @@ equalities; least upper bounds are validated lazily because nothing in the
 engine needs arbitrary joins.
 
 Declaration is single-writer; the query operations (leq, meet, join, upset)
-read immutable per-element downsets and are safe to call from any thread once
-declaration has quiesced.
+read immutable per-element downsets and upsets and are safe to call from any
+thread once declaration has quiesced. A declaration extends the upsets below
+it only once its validation has succeeded, so a refused one changes none.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class _Element:
     name: str
     covers: frozenset[int]
     below: frozenset[int]  # downset: every id <= this one, itself included
+    above: frozenset[int]  # upset: every id >= this one, itself included
 
 
 @dataclass
@@ -39,7 +41,7 @@ class ContextLattice:
     def __post_init__(self):
         if not self._elements:
             self._elements.append(
-                _Element(self.bottom_name, frozenset(), frozenset({BOTTOM}))
+                _Element(self.bottom_name, frozenset(), frozenset({BOTTOM}), frozenset({BOTTOM}))
             )
             self._by_name[self.bottom_name] = BOTTOM
 
@@ -80,7 +82,7 @@ class ContextLattice:
             self._check(c)
         new_id = len(self._elements)
         below = frozenset({new_id}).union(*(self._elements[c].below for c in covers))
-        elem = _Element(name, covers, below)
+        elem = _Element(name, covers, below, frozenset({new_id}))
         self._elements.append(elem)
         try:
             for other in range(new_id):
@@ -88,6 +90,8 @@ class ContextLattice:
         except NotALattice:
             self._elements.pop()
             raise
+        for c in below - {new_id}:
+            self._elements[c].above |= {new_id}
         self._by_name[name] = new_id
         return new_id
 
@@ -123,7 +127,7 @@ class ContextLattice:
 
     def upset(self, c: ContextId) -> frozenset[ContextId]:
         self._check(c)
-        return frozenset(x for x in self.ids() if c in self._elements[x].below)
+        return self._elements[c].above
 
     def topo_order(self) -> list[ContextId]:
         """All ids, every element after everything below it.

@@ -29,9 +29,9 @@ intersections at the enclosing branch context rather than at bottom.
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
 backtracking join over the rows `(node, class)` of a context's cached view,
-which extends a match through an atom's class or through the view's parent
-index. Runs are semi-naive: each rule joins, once from each atom, only from
-the rows stamped (see the views module) after its last run at the context.
+which extends a match through an atom's class or through the rows over a
+class. Runs are semi-naive: each rule joins, once from each atom, only from
+the rows logged (see the views module) after its last run at the context.
 Rows change monotonically, so a match built only from older rows was found
 then and its right-hand side added and merged; skipping it leaves the
 relation as the next rebuild would. (Re-adding a nested right-hand side
@@ -165,7 +165,6 @@ class Engine:
         cost_model: CostModel | None = None,
     ):
         self.eg = egraph or EGraph()
-        self.views = self.eg.views
         self.cost_model = cost_model or CostModel()
         self.rules: list[Rule] = []
         self.conditionals: list[ConditionalScope] = []
@@ -233,13 +232,13 @@ class Engine:
         The database is the cached view of ctx; Strategy.ON_THE_FLY reads the
         reference provider instead, so tests can compare the two. `since`, a
         version_at(ctx) read after an earlier call, keeps only matches using
-        a row stamped after it (a bare variable, and the reference, which
-        keeps no stamps, match in full)."""
+        a row logged after it (a bare variable, and the reference, which
+        keeps no log, match in full)."""
         self.eg.lattice.check(ctx)
         if strategy is Strategy.ON_THE_FLY:
             db, since = OnTheFlyProvider(self.eg, ctx), None
         else:
-            db = self.views.get(ctx)
+            db = self.eg.views.get(ctx)
         if pattern not in self._queries:
             self._queries[pattern] = _compile(pattern)
         atoms, names, width = self._queries[pattern]
@@ -435,7 +434,7 @@ class Engine:
                     continue
                 try:
                     res = extract_from_view(
-                        self.views.get(inst.body_ctx),
+                        eg.views.get(inst.body_ctx),
                         eg.find(inst.body_ctx, body_cls),
                         self.cost_model,
                         forbid,

@@ -6,14 +6,13 @@ coarser contexts are never larger than views of finer ones.
 
 E-matching, lambda lifting and congruence repair read the cached view of a
 context, and the bottom view is the e-graph's class index. The e-graph owns
-the one cache (`EGraph.views`, also `Engine.views`), which replaces a view
-only after a mutation that can change its context (its change version
-moved; see the egraph module), so a merge in one branch keeps the views of
-its siblings. `OnTheFlyProvider` canonicalizes per query instead; it is the
-reference implementation that tests compare the cached view against, and no
-engine path uses it. Extraction builds a fresh view with `build_view`, which
-tests also take as the reference; stats and read-only queries scan the node
-store.
+the one cache (`EGraph.views`), which replaces a view only after a mutation
+that can change its context (its change version moved; see the egraph
+module), so a merge in one branch keeps the views of its siblings.
+`OnTheFlyProvider` canonicalizes per query instead; it is the reference
+implementation that tests compare the cached view against, and no engine
+path uses it. Extraction builds a fresh view with `build_view`, which tests
+also take as the reference; stats and read-only queries scan the node store.
 
 Patching: every cached view is patched from its predecessor and the change
 log (the roots lost at bottom and at the context, the nodes of the ids
@@ -25,16 +24,19 @@ over a lost root (`_uses`: child class -> parent classes) are
 re-canonicalized. `_sig` keeps one class per row, and `clashes` lists pairs
 of live classes holding a common row, the predecessor's still apart
 included: any two classes that share a row are joined through them, so
-merging them restores congruence. A superseded view stays readable, but its
-patch state passes to its successor: only the newest view is patched.
+merging them restores congruence. The patch state (`_sig`, `_uses` and the
+row log) is shared along a context's chain of views, not copied: a
+superseded view's classes stay readable, but only the newest view is
+patched and answers the join's lookups.
 
-Rows and stamps: matching reads a view as rows `(node, class)`, each
-stamped with the version of the first cached view that held it (a first
-view keeps the stamps of the bottom rows it copies). A patched view keeps
-the stamps of the rows a class held in its predecessor (per class: one int
-where all its rows agree), and `_rows(symbol, since)` gives the rows stamped
-after `since`: the delta semi-naive matching joins from (see the rewrite
-module). The join's indexes are built on first use.
+Row log: matching reads a view as rows `(node, class)`. Each patch appends
+every row it adds to a class to its symbol's log as `(version, node,
+class)`, at the new view's version; a first view starts from copies of the
+bottom view's logs. Versions rise along the log, so `_rows(symbol, since)`
+walks it back to since and keeps the rows the view still holds: the delta
+semi-naive matching joins from (see the rewrite module). `_parents` reads
+the rows over a child class from the classes in `_uses`. The patch's own
+state is thus the join's only index.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import enum
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, node_key
 from .lattice import BOTTOM, ContextId
@@ -56,19 +57,15 @@ class CanonicalView:
     context: ContextId
     classes: dict[ClassId, tuple[ENode, ...]]
     version: int
-    # class -> first-seen stamp of its rows, one int or one per node; a
-    # class not listed was first seen in this view
-    _stamps: dict = field(default_factory=dict, compare=False, repr=False)
-    # join indexes of class ids, built on first use by the matching thread
-    _by_symbol: dict = field(default_factory=dict, compare=False, repr=False)
-    _parent_index: dict = field(default_factory=dict, compare=False, repr=False)
     # pairs of live classes holding a common row; cached views only
     clashes: list = field(default_factory=list, compare=False, repr=False)
     # patch state of a cached view (see the module docstring): row -> class,
     # child class -> tuple of parent classes (ints only, which the cyclic
-    # garbage collector does not track), and the change-log lengths read
+    # garbage collector does not track), symbol -> row log of (version,
+    # node, class) entries, and the change-log lengths read
     _sig: dict = field(default_factory=dict, compare=False, repr=False)
     _uses: dict = field(default_factory=dict, compare=False, repr=False)
+    _log: dict = field(default_factory=dict, compare=False, repr=False)
     _marks: tuple = field(default=(0, 0, 0), compare=False, repr=False)
 
     def class_ids(self) -> list[ClassId]:
@@ -78,31 +75,21 @@ class CanonicalView:
         return self.classes.get(c, ())
 
     def _rows(self, symbol: FunctionSymbol, since: int) -> list[tuple[ENode, ClassId]]:
-        """Rows (node, class) of symbol stamped after since."""
-        if not self._by_symbol:
-            for c, nodes in self.classes.items():
-                for sym in {n.symbol for n in nodes}:
-                    self._by_symbol.setdefault(sym, []).append(c)
+        """Rows (node, class) of symbol logged after since that the view
+        still holds; the log rises in version, so the walk back stops at
+        since."""
         out = []
-        for c in self._by_symbol.get(symbol, ()):
-            st = self._stamps.get(c, self.version)
-            if isinstance(st, int):
-                st = repeat(st) if st > since else ()
-            out += [(n, c) for n, s in zip(self.classes[c], st) if s > since and n.symbol == symbol]
+        for version, node, c in reversed(self._log.get(symbol, ())):
+            if version <= since:
+                break
+            if node in self.classes.get(c, ()):
+                out.append((node, c))
         return out
 
     def _parents(self, symbol: FunctionSymbol, pos: int, child: ClassId) -> list:
         """Rows (node, class) of symbol whose child at pos is child."""
-        index = self._parent_index.get(symbol)
-        if index is None:
-            index = self._parent_index[symbol] = {}
-            for node, c in self._rows(symbol, -1):
-                for key in enumerate(node.children):
-                    got = index.setdefault(key, [])
-                    if not got or got[-1] != c:
-                        got.append(c)
         return [
-            (n, c) for c in index.get((pos, child), ()) for n in self.classes[c]
+            (n, c) for c in self._uses.get(child, ()) for n in self.classes.get(c, ())
             if n.symbol == symbol and n.children[pos] == child
         ]
 
@@ -138,25 +125,15 @@ def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
                 uses[ch] = (*parents, c)
 
 
-def _carried(nodes: tuple, old: tuple, stamp, version: int):
-    """Stamp of a class holding nodes whose rows were old, stamped stamp."""
-    if old == nodes:
-        return stamp
-    seen = dict(zip(old, repeat(stamp) if isinstance(stamp, int) else stamp))
-    stamp = tuple(seen.get(n, version) for n in nodes)
-    return stamp[0] if len(set(stamp)) == 1 else stamp
-
-
 def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
     """The current view of prev's context, patched from prev and the change
-    log since it; takes over prev's sig and uses."""
+    log since it; takes over prev's sig, uses and row log."""
     ctx, find = prev.context, eg.uf._find
-    sig, uses = prev._sig, prev._uses
+    sig, uses, log = prev._sig, prev._uses, prev._log
     n_bot, n_ctx, n_ids = prev._marks
     # at bottom the two logs are one; a root met twice is skipped
     lost = eg.uf.lost[BOTTOM][n_bot:] + eg.uf.lost[ctx][n_ctx:]
     classes = prev.classes.copy()
-    stamps = prev._stamps.copy()
     # dirty class -> rows to add to it; into: lost class -> its class now
     dirty: dict[ClassId, list[ENode]] = {}
     into: dict[ClassId, ClassId] = {}
@@ -164,7 +141,6 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         rows = classes.pop(x, None)
         if rows is None:
             continue
-        del stamps[x]
         into[x] = t = find(ctx, x)
         dirty.setdefault(t, []).extend(rows)
         for p in uses.pop(x, ()):
@@ -179,18 +155,21 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
             if other == t or into.get(other) == t:
                 del sig[row]
     view = CanonicalView(
-        ctx, classes, eg.version_at(ctx), stamps, _sig=sig, _uses=uses,
+        ctx, classes, eg.version_at(ctx), _sig=sig, _uses=uses, _log=log,
         _marks=(len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)),
     )
     for a, b in prev.clashes:
         if find(ctx, a) != find(ctx, b):
             view.clashes.append((find(ctx, a), find(ctx, b)))
     for t, added in dirty.items():
-        rows = {eg.canonical_node(ctx, n) for n in (*classes.get(t, ()), *added)}
+        old = classes.get(t, ())
+        rows = {eg.canonical_node(ctx, n) for n in (*old, *added)}
         classes[t] = nodes = tuple(sorted(rows, key=node_key))
-        old = prev.classes.get(t, ())
-        stamps[t] = _carried(nodes, old, stamps.get(t, view.version), view.version)
         _add_rows(view, t, nodes)
+        held = set(old)
+        for n in nodes:
+            if n not in held:
+                log.setdefault(n.symbol, []).append((view.version, n, t))
     return view
 
 
@@ -224,7 +203,7 @@ class ViewCache:
         bot = self.get(BOTTOM)
         return replace(
             bot, context=ctx, _sig=bot._sig.copy(), _uses=bot._uses.copy(),
-            _marks=(bot._marks[0], 0, bot._marks[2]),
+            _log={sym: rows.copy() for sym, rows in bot._log.items()}, _marks=(bot._marks[0], 0, bot._marks[2]),
         )
 
 

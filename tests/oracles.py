@@ -148,3 +148,35 @@ def naive_contextual_congruence(lattice, nodes, n_ids, explicit):
                     changed = True
         if not changed:
             return {c: closure_blocks(n_ids, pairs[c]) for c in lattice.ids()}
+
+
+def view_index_mismatch(view, prev, symbols) -> str | None:
+    """The first disagreement of a cached view's join lookups with a
+    brute-force reading of its classes, or None if there is none.
+
+    `_rows(sym, since)` must list, once each, the rows (node, class) that
+    the view holds and prev did not, where since is prev's version (prev is
+    an earlier view of the same context, or None, which reads as -1 and no
+    rows). `_parents(sym, pos, child)` must list the rows whose child at
+    pos is child.
+    """
+
+    def rows(v):
+        return set() if v is None else {(n, c) for c, ns in v.classes.items() for n in ns}
+
+    held = rows(view)
+    new = held - rows(prev)
+    since = -1 if prev is None else prev.version
+    parents = defaultdict(set)
+    for n, c in held:
+        for pos, child in enumerate(n.children):
+            parents[(n.symbol, pos, child)].add((n, c))
+    for sym in symbols:
+        got = view._rows(sym, since)
+        if len(got) != len(set(got)) or set(got) != {r for r in new if r[0].symbol == sym}:
+            return f"_rows({sym.name}, {since}) at context {view.context}"
+    for (sym, pos, child), want in parents.items():
+        got = view._parents(sym, pos, child)
+        if len(got) != len(set(got)) or set(got) != want:
+            return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
+    return None

@@ -125,6 +125,8 @@ def random_lattice(rng: random.Random, max_elems: int = 8) -> ContextLattice:
 def test_meet_join_agree_with_brute_force(seed):
     lat = random_lattice(random.Random(seed))
     for a in lat.ids():
+        # refused declarations in random_lattice leave no residue here
+        assert lat.upset(a) == frozenset(x for x in lat.ids() if lat.leq(a, x))
         for b in lat.ids():
             maximal = brute_glb(lat, a, b)
             assert len(maximal) == 1, "declaration-time validation should forbid this"

@@ -172,7 +172,7 @@ def test_ematch_since_returns_only_new_matches():
                 lo = rng.choice([c for c in ctxs if lat.leq(c, c1) and lat.leq(c, c2)])
                 eg.intersect_into(lo, c1, c2)
             else:
-                # a view built in between must pass the stamps on
+                # a view patched in between must pass the row log on
                 match_set(eng, rng.choice(ctxs), rng.choice(pats))
         if rng.random() < 0.5:
             eg.rebuild()

@@ -15,7 +15,7 @@ import pytest
 from ctxsat.egraph import node_key
 from ctxsat.views import OnTheFlyProvider
 
-from oracles import naive_contextual_congruence
+from oracles import naive_contextual_congruence, view_index_mismatch
 from test_egraph import random_egraph
 from test_rewrite import match_set, random_pattern
 
@@ -210,13 +210,22 @@ def test_view_cache_rebuilds_only_views_above_a_change():
 def test_patched_views_track_interleaved_reads_and_rebuilds():
     """Seeded mutations with reads of the e-graph's own cache between them.
     A view read between mutations can report clashes that only a later
-    rebuild merges, so its successor has to carry them."""
+    rebuild merges, so its successor has to carry them. Each read view's
+    row log gives the rows new since the previous read at its context, and
+    its parent lookup agrees with its classes."""
     kinds = ["merge", "merge", "add-node", "intersect", "declare-context"]
     rebuilds = clashed = 0
     for seed in range(150):
         eg, merges, node_list = random_egraph(seed + 13000, 24, 6)
         rng = random.Random(seed)
         lat = eg.lattice
+        last = {}
+
+        def check_index(view):
+            got = view_index_mismatch(view, last.get(view.context), eg.symbols())
+            assert got is None, f"seed={seed} step={step}: {got}"
+            last[view.context] = view
+
         for step in range(14):
             kind = rng.choice(kinds)
             classes = list(eg.nodes().values())
@@ -241,6 +250,7 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
                 view = eg.views.get(c)
                 clashed += bool(view.clashes)
                 assert view.classes == build_view(eg, c).classes, f"seed={seed} step={step}"
+                check_index(view)
             if rng.random() < 0.3 or step == 13:
                 rebuilds += 1
                 eg.rebuild()
@@ -250,4 +260,5 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
                     view = eg.views.get(c)
                     assert not view.clashes, f"seed={seed} step={step} ctx={c}"
                     assert view.classes == build_view(eg, c).classes
+                    check_index(view)
     assert rebuilds >= 600 and clashed >= 400
