@@ -4,12 +4,15 @@
 The programs are the seven shipped corpora and the distinct programs of the
 benchmark's `scopes` and `ac` workloads at seed 1 (`prepare_scopes(1)`,
 `prepare_ac(1)` in perfbench/workloads.py, imported read-only). Each output
-line is a label and a sha256 over everything a run leaves observable: the
-`--json` report, the extracts, `export_dot` and `stats` at every context,
-the numbers of ids and stored nodes, and the summed `rule_applications` of
-the run's reports. The last one sees a row log that does not give exactly
-the new rows: re-matching old rows leaves the relation unchanged but applies
-more rules. Two revisions that behave the same print the same lines:
+line is a label and two sha256 digests. The first is over everything a run
+leaves observable: the `--json` report, the extracts, `export_dot` and
+`stats` at every context, the numbers of ids and stored nodes, and the
+summed `rule_applications` of the run's reports. The last one sees a row log
+that does not give exactly the new rows: re-matching old rows leaves the
+relation unchanged but applies more rules. The second is over the same state
+with the report's `iterations` field removed, so a change that only reaches
+the same fixpoint in fewer iterations keeps it. Two revisions that behave
+the same print the same lines:
 
     python3 scripts/fingerprint.py > after.txt
     diff before.txt after.txt
@@ -47,7 +50,8 @@ def programs() -> list[tuple[str, str]]:
     return out
 
 
-def digest(source: str) -> str:
+def digests(source: str) -> tuple[str, str]:
+    """The digest of the whole state, and of it without `iterations`."""
     out = run_source(source)
     eg = out.engine.eg
     state = {
@@ -61,13 +65,19 @@ def digest(source: str) -> str:
         "nodes": len(eg.nodes()),
         "rule_applications": sum(r.rule_applications for r in out.reports),
     }
+    full = sha256(state)
+    del state["report"]["report"]["iterations"]
+    return full, sha256(state)
+
+
+def sha256(state: dict) -> str:
     text = json.dumps(state, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> int:
     for label, source in programs():
-        print(f"{label} {digest(source)}", flush=True)
+        print(label, *digests(source), flush=True)
     return 0
 
 

@@ -84,12 +84,15 @@ class ContextLattice:
         below = frozenset({new_id}).union(*(self._elements[c].below for c in covers))
         elem = _Element(name, covers, below, frozenset({new_id}))
         self._elements.append(elem)
-        try:
-            for other in range(new_id):
-                self._glb(new_id, other)
-        except NotALattice:
-            self._elements.pop()
-            raise
+        # one cover g: meet(x, y) = meet(g, y) for every older y, and no older
+        # pair gains a lower bound, so only a join of covers can break the lattice
+        if len(covers) > 1:
+            try:
+                for other in range(new_id):
+                    self._glb(new_id, other)
+            except NotALattice:
+                self._elements.pop()
+                raise
         for c in below - {new_id}:
             self._elements[c].above |= {new_id}
         self._by_name[name] = new_id

@@ -11,7 +11,8 @@ Scoping constructs introduce contexts during the run:
 - a conditional node seen at context g gets fresh branch contexts covering g
   in which the condition is equated with the true and false constants and
   the node with the respective branch body; the branch contexts of one
-  conditional are later intersected back into g (proof by cases);
+  conditional are later intersected back into g (proof by cases), innermost
+  conditional first, skipping one whose branch relations have not moved;
 - a lambda application seen at g gets a body context covering g in which the
   bound variable is equated with the argument; once the body class contains
   a term that avoids the variable, a cheapest such term is extracted and
@@ -137,6 +138,10 @@ class _CondInstance:
     cond: ClassId
     then_ctx: ContextId
     else_ctx: ContextId
+    seen: tuple[int, int, int] | None = None  # marks after the last intersection
+
+    def marks(self, lost: dict[ContextId, list[int]]) -> tuple[int, int, int]:
+        return len(lost[BOTTOM]), len(lost[self.then_ctx]), len(lost[self.else_ctx])
 
 
 @dataclass
@@ -416,10 +421,15 @@ class Engine:
 
     def apply_intersections(self) -> int:
         """Proof by cases: intersect each conditional's branch relations back
-        into its enclosing context."""
-        total = 0
-        for inst in self._cond_instances:
-            total += self.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
+        into its enclosing context, innermost (highest gamma) first, so one
+        pass carries a promotion down to bottom. An instance is skipped while
+        the lost logs at bottom and at its branches keep their lengths: only
+        they move the branch relations, and a new id creates no equality."""
+        total, lost = 0, self.eg.uf.lost
+        for inst in sorted(self._cond_instances, key=lambda i: -i.gamma):
+            if inst.marks(lost) != inst.seen:
+                total += self.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
+                inst.seen = inst.marks(lost)
         return total
 
     def apply_lambda_lifts(self) -> int:

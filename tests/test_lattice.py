@@ -171,3 +171,33 @@ def test_bottom_is_unique_minimum(seed):
         assert lat.leq(BOTTOM, c)
         if c != BOTTOM:
             assert not lat.leq(c, BOTTOM)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_single_cover_declarations_keep_meets_exact(seed):
+    # single-cover declarations skip the glb validation; a join of two
+    # covers is still validated, and a refused one changes nothing
+    rng = random.Random(seed)
+    lat = ContextLattice()
+    for i in range(rng.randint(1, 12)):
+        lat.declare_context(f"c{i}", {rng.choice(list(lat.ids()))})
+    for a in lat.ids():
+        for b in lat.ids():
+            assert [lat.meet(a, b)] == brute_glb(lat, a, b)
+    pairs = [(a, b) for a in lat.ids() for b in lat.ids()
+             if a < b and not lat.leq(a, b) and not lat.leq(b, a)]
+    if not pairs:
+        return
+    a, b = rng.choice(pairs)
+    lat.declare_context("j1", {a, b})
+
+    def snapshot():
+        ids = list(lat.ids())
+        return [(lat.name(x), lat.upset(x), [lat.meet(x, y) for y in ids]) for x in ids]
+
+    before = snapshot()
+    with pytest.raises(NotALattice):
+        lat.declare_context("j2", {a, b})
+    assert not lat.has_name("j2")
+    assert snapshot() == before

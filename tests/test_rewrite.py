@@ -18,6 +18,7 @@ from ctxsat import (
     extract,
     term,
 )
+from ctxsat.assume import nested_conditional_program
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
 from ctxsat.dsl import Program, RunCmd, execute, parse_program, run_source
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
@@ -502,6 +503,151 @@ def test_nested_conditional_lands_at_enclosing_context():
     tt = eg.context("then.then")
     assert eg.lattice.leq(then, tt)
     assert eg.lattice.meet(tt, eg.context("then.else")) == then
+
+
+@pytest.mark.parametrize("moved", ["then", "else", "bot"])
+def test_intersection_reruns_once_its_branches_move(moved, monkeypatch):
+    # p = q holds in the branch that does not move; the other gets it from
+    # x = y, merged at that branch or at bottom
+    eng = Engine()
+    eg = eng.eg
+    for name, arity in [("true", 0), ("false", 0), ("if", 3), ("k", 1)] + [
+        (n, 0) for n in "cdepqxyz"
+    ]:
+        eg.declare_function(name, arity)
+    eng.add_conditional_scope("if", "true", "false")
+    eng.add_root(term("if", term("c"), term("d"), term("e")))
+    eng.apply_scopes()
+    then, els = eg.context("then"), eg.context("else")
+    # ids x < y < p < q: the base union of x and y drops no overlay key
+    x, y, p, q = (eg.intern(term(n)) for n in "xypq")
+    if moved == "bot":
+        for ctx, (a, b) in [(then, (x, y)), (els, (y, x))]:
+            eg.merge(ctx, p, a)
+            eg.merge(ctx, q, b)
+    else:
+        still, moving = (els, then) if moved == "then" else (then, els)
+        eg.merge(still, p, q)
+        eg.merge(moving, p, x)
+        eg.merge(moving, q, y)
+    eg.rebuild()
+    calls = []
+    intersect = eg.intersect_into
+    monkeypatch.setattr(eg, "intersect_into", lambda *a: calls.append(a) or intersect(*a))
+    assert eng.apply_intersections() == 0 and len(calls) == 1
+    eg.intern(term("k", term("z")))  # new ids create no equality
+    eg.rebuild()
+    assert eng.apply_intersections() == 0 and len(calls) == 1
+    eg.merge({"then": then, "else": els, "bot": BOTTOM}[moved], x, y)
+    eg.rebuild()
+    assert eng.apply_intersections() > 0 and len(calls) == 2
+    assert eg.equiv(BOTTOM, p, q)
+
+
+@pytest.mark.parametrize("depth", [4, 12, 32])
+def test_conditional_tower_saturates_in_two_iterations(depth):
+    # innermost first, one intersection pass carries the tower's promotions
+    # down to bottom; the second iteration only confirms the fixpoint
+    out = run_source(nested_conditional_program(depth))
+    assert [(r.iterations, r.saturated) for r in out.reports] == [(2, True)]
+    assert all(c.ok for c in out.checks)
+
+
+CONDITIONS = ["(gt a b)", "(gt b c)", "(gt c a)", "(eq a b)", "(eq (f a) c)"]
+
+
+def random_nested_conditional_program(seed: int) -> str:
+    """Seeded terms of conditionals nested up to four deep over a few shared
+    conditions, many of them true by cases (both branches reach true, or
+    hold the same body), with negation rules and, by seed, an equality
+    symbol and a commutative or idempotent rule."""
+    rng = random.Random(seed)
+    lines = [f"(function {name} {arity})" for name, arity in [
+        ("true", 0), ("false", 0), ("if", 3), ("eq", 2), ("gt", 2), ("not", 1),
+        ("f", 1), ("g", 2), ("a", 0), ("b", 0), ("c", 0),
+    ]]
+    lines.append("(scope-if if true false eq)" if seed % 2 else "(scope-if if true false)")
+    lines.append("(rule not-false (not false) true :scope everywhere)")
+    lines.append("(rule not-true (not true) false :scope everywhere)")
+    if seed % 3 == 0:
+        lines.append("(rule g-comm (g ?x ?y) (g ?y ?x) :scope everywhere)")
+    if seed % 3 == 1:
+        lines.append("(rule g-idem (g ?x ?x) ?x :scope everywhere)")
+
+    def body(depth):
+        r = rng.random()
+        cond = rng.choice(CONDITIONS)
+        if depth > 0 and r < 0.3:
+            return f"(if {cond} {body(depth - 1)} {body(depth - 1)})"
+        if depth > 0 and r < 0.55:
+            inner = body(depth - 1) if rng.random() < 0.7 else cond
+            return rng.choice([f"(if {cond} {inner} (not {cond}))", f"(if {cond} {inner} {inner})"])
+        if r < 0.7:
+            return rng.choice([cond, f"(not {cond})"])
+        if r < 0.85:
+            return f"(g {rng.choice('abc')} {rng.choice('abc')})"
+        return rng.choice(["a", "b", "c", "(f a)", "true"])
+
+    lines += [f"(term {body(rng.randint(1, 4))})" for _ in range(rng.randint(1, 2))]
+    lines.append("(run 12)")
+    return "\n".join(lines) + "\n"
+
+
+def test_skipped_intersections_have_nothing_to_promote():
+    # an instance skipped because its branches did not move would merge
+    # nothing if it ran: after saturation, no instance promotes anything
+    sources = [corpus_source(name) for name in CORPUS_NAMES]
+    sources += [random_nested_conditional_program(seed) for seed in range(200)]
+    for i, source in enumerate(sources):
+        out = run_source(source)
+        assert out.reports[-1].saturated, f"input {i}"
+        eng = out.engine
+        for inst in eng._cond_instances:
+            assert eng.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx) == 0, f"input {i}"
+
+
+def every_instance_in_creation_order(self) -> int:
+    total = 0
+    for inst in self._cond_instances:
+        total += self.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
+    return total
+
+
+def test_intersection_order_and_skip_reach_the_reference_fixpoint(monkeypatch):
+    """The reference intersects every instance, outermost first, on every
+    iteration. Both reach the same relation at every context and the same
+    nodes, and the new order needs no more iterations. On the corpora and
+    towers the rules apply equally often. On random programs a rule at a
+    context created later can match a root that the reference has not yet
+    merged there, and match it again once it has, so the new run applies
+    no more rules than the reference."""
+    exact = [corpus_source(name) for name in CORPUS_NAMES]
+    exact += [nested_conditional_program(d) for d in range(1, 7)]
+    sources = exact + [random_nested_conditional_program(seed) for seed in range(200)]
+
+    def observe(source):
+        out = run_source(source)
+        eg = out.engine.eg
+        return (
+            {eg.lattice.name(c): eg.uf.partition(c) for c in eg.lattice.ids()},
+            len(eg.nodes()),
+            sum(r.rule_applications for r in out.reports),
+            sum(r.iterations for r in out.reports),
+            out.reports[-1].saturated,
+        )
+
+    new = [observe(source) for source in sources]
+    monkeypatch.setattr(Engine, "apply_intersections", every_instance_in_creation_order)
+    ref = [observe(source) for source in sources]
+    for i, (n, r) in enumerate(zip(new, ref)):
+        assert n[4] and r[4], f"input {i}"
+        assert n[:2] == r[:2], f"input {i}"
+        assert n[3] <= r[3], f"input {i}"
+        if i < len(exact):
+            assert n[2] == r[2], f"input {i}"
+        else:
+            assert n[2] <= r[2], f"input {i}"
+    assert sum(n[3] for n in new) < sum(r[3] for r in ref)
 
 
 @contextmanager
