@@ -30,6 +30,11 @@ repaired, the node store that add_node hash-conses against is re-keyed from
 the rows of that view. The cache holds the e-graph weakly, so the two form
 no reference cycle and reference counting frees them.
 
+FunctionSymbol and ENode are named tuples, hashed and compared in C (an
+ENode equals a plain tuple with the same fields). Ids are checked once, at
+the public entry points; the engine's own adds go through `_add`, which
+trusts its ids.
+
 Single-writer: all mutation goes through one engine thread. Reads between
 mutations (stats, class_nodes, find) are safe to share.
 """
@@ -37,6 +42,7 @@ mutations (stats, class_nodes, find) are safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -51,8 +57,7 @@ from .layered_uf import LayeredUnionFind, NodeId
 ClassId = NodeId
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
+class FunctionSymbol(NamedTuple):
     name: str
     arity: int
 
@@ -60,8 +65,7 @@ class FunctionSymbol:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(NamedTuple):
     symbol: FunctionSymbol
     children: tuple[ClassId, ...]
 
@@ -163,10 +167,17 @@ class EGraph:
             raise ArityMismatch(
                 f"{symbol!r} applied to {len(children)} children"
             )
-        node = ENode(symbol, tuple(self.uf.find(BOTTOM, ch) for ch in children))
+        for ch in children:
+            self.uf._check_node(ch)
+        return self._add(symbol, children)
+
+    # add_node for a symbol of the right arity over ids the package holds
+    def _add(self, symbol: FunctionSymbol, children) -> ClassId:
+        find = self.uf._base_find
+        node = ENode(symbol, tuple(map(find, children)))
         existing = self._nodes.get(node)
         if existing is not None:
-            return self.uf.find(BOTTOM, existing)
+            return find(existing)
         cls = self.uf.make_set()
         self.created.append(node)
         self._nodes[node] = cls
@@ -178,17 +189,25 @@ class EGraph:
         """Add a term bottom-up; idempotent on structurally equal terms.
 
         Returns a bottom representative: apply find(ctx, .) before any
-        context-sensitive comparison.
+        context-sensitive comparison. Iterative, in post-order with children
+        left to right, so any depth interns.
         """
-        children = tuple(self.intern(c) for c in t.children)
-        sym = self.symbol(t.symbol, len(t.children))
-        return self.add_node(sym, children)
+        ids: list[ClassId] = []
+        stack = [(t, False)]
+        while stack:
+            t, ready = stack.pop()
+            if ready:
+                k = len(ids) - len(t.children)
+                ids[k:] = [self._add(self.symbol(t.symbol, len(t.children)), tuple(ids[k:]))]
+            else:
+                stack += [(t, True), *((c, False) for c in reversed(t.children))]
+        return ids[0]
 
     def merge(self, ctx: ContextId, a: ClassId, b: ClassId) -> ClassId:
         """Union two classes at ctx (visible at every context above)."""
         if self.uf.union_new(ctx, a, b):
             self._mutated(ctx)
-        return self.uf.find(ctx, a)
+        return self.uf._find(ctx, a)
 
     def equiv(self, ctx: ContextId, a: ClassId, b: ClassId) -> bool:
         return self.uf.equiv(ctx, a, b)

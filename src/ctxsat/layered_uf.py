@@ -79,17 +79,21 @@ class LayeredUnionFind:
 
     # find for ids the package already holds: no validation
     def _find(self, ctx: ContextId, x: NodeId) -> NodeId:
-        r = self._base_find(x)
+        p = self._parent
+        r = p[x]
+        if p[r] != r:
+            r = self._base_find(x)
         if ctx == BOTTOM:
             return r
         ov = self._overlay_for(ctx)
+        nxt = ov.get(r)
+        if nxt is None:
+            return r
         chain = []
-        while True:
-            nxt = ov.get(r)
-            if nxt is None:
-                break
+        while nxt is not None:
             chain.append(r)
             r = self._base_find(nxt)
+            nxt = ov.get(r)
         for k in chain:
             if k != r:
                 ov[k] = r

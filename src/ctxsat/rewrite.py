@@ -262,7 +262,7 @@ class Engine:
         if isinstance(pat, PatternVar):
             return subst[pat.name]
         children = tuple(self._instantiate(a, subst) for a in pat.args)
-        return self.eg.add_node(pat.symbol, children)
+        return self.eg._add(pat.symbol, children)
 
     def _admissible_contexts(self, scope: RuleScope) -> list[ContextId]:
         lat = self.eg.lattice
@@ -363,7 +363,7 @@ class Engine:
                         self._lambda_instances.append(inst)
                         new_instances += 1
                     for lam_node in self._lambda_nodes(inst.fn_class, sc):
-                        var_cls = eg.add_node(sc.var_sym, (lam_node.children[0],))
+                        var_cls = eg._add(sc.var_sym, (lam_node.children[0],))
                         eg.merge(inst.body_ctx, var_cls, inst.value_class)
                     for lam_node in self._lambda_nodes(fn_cls, sc):
                         work.append((inst.body_ctx, lam_node.children[1]))

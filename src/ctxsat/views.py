@@ -31,12 +31,12 @@ patched and answers the join's lookups.
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node,
-class)`, at the new view's version; a first view starts from copies of the
-bottom view's logs. Versions rise along the log, so `_rows(symbol, since)`
-walks it back to since and keeps the rows the view still holds: the delta
-semi-naive matching joins from (see the rewrite module). `_parents` reads
-the rows over a child class from the classes in `_uses`. The patch's own
-state is thus the join's only index.
+class)`, at the new view's version; a first view starts from the live
+entries of the bottom view's logs. Versions rise along the log, so
+`_rows(symbol, since)` walks it back to since and keeps the rows the view
+still holds: the delta semi-naive matching joins from (see the rewrite
+module). `_parents` reads the rows over a child class from the classes in
+`_uses`. The patch's own state is thus the join's only index.
 """
 
 from __future__ import annotations
@@ -196,14 +196,20 @@ class ViewCache:
 
     def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
         """What ctx's first view is patched from: at bottom an empty view, else
-        a copy of the bottom view with ctx's whole layer log still to read."""
+        a copy of the bottom view with ctx's whole layer log still to read.
+        Only live row log entries are copied: a row dead at bottom stays dead
+        above it."""
         eg.lattice.check(ctx)
         if ctx == BOTTOM:
             return CanonicalView(BOTTOM, {}, 0)
         bot = self.get(BOTTOM)
+        log = {
+            sym: [e for e in rows if e[1] in bot.classes.get(e[2], ())]
+            for sym, rows in bot._log.items()
+        }
         return replace(
             bot, context=ctx, _sig=bot._sig.copy(), _uses=bot._uses.copy(),
-            _log={sym: rows.copy() for sym, rows in bot._log.items()}, _marks=(bot._marks[0], 0, bot._marks[2]),
+            _log=log, _marks=(bot._marks[0], 0, bot._marks[2]),
         )
 
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from ctxsat.egraph import EGraph, term
+from ctxsat.egraph import EGraph, ENode, FunctionSymbol, Term, node_key, term
 from ctxsat.errors import (
     ArityMismatch,
     DuplicateSymbol,
     NegativeArity,
     NotALattice,
+    UnknownNode,
     UnknownSymbol,
 )
 from ctxsat.lattice import BOTTOM, ContextLattice
@@ -50,6 +51,78 @@ def test_intern_undeclared_symbol():
         eg.intern(term("f", term("x")))
     with pytest.raises(ArityMismatch):
         eg.intern(term("mul", term("x")))
+
+
+@pytest.mark.parametrize("bad", [-1, 99, "0", None])
+def test_bad_ids_raise_at_every_entry_point(bad):
+    eg, then = arith_graph()
+    x = eg.intern(term("x"))
+    shift, mul = eg.symbol("shift", 1), eg.symbol("mul", 2)
+    calls = [
+        lambda: eg.add_node(shift, (bad,)),
+        lambda: eg.add_node(mul, (x, bad)),
+        lambda: eg.merge(then, x, bad),
+        lambda: eg.merge(BOTTOM, bad, x),
+        lambda: eg.find(then, bad),
+        lambda: eg.equiv(BOTTOM, x, bad),
+        lambda: eg.uf.union_new(then, bad, x),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownNode):
+            call()
+    with pytest.raises(ArityMismatch):
+        eg.add_node(mul, (x,))
+    assert len(eg.uf) == 1 and eg.uf.total_unions() == 0
+
+
+def test_nodes_and_symbols_are_values():
+    f, f2 = FunctionSymbol("f", 2), FunctionSymbol("f", 2)
+    assert f == f2 and hash(f) == hash(f2) and f is not f2
+    a, b = ENode(f, (0, 1)), ENode(f2, tuple([0, 1]))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != ENode(f, (1, 0)) and f != FunctionSymbol("f", 1)
+    assert repr(f) == "f/2" and repr(FunctionSymbol("x", 0)) == "x/0"
+    for obj, field in [(f, "name"), (f, "arity"), (a, "symbol"), (a, "children")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    g, h = FunctionSymbol("g", 1), FunctionSymbol("f", 1)
+    nodes = [ENode(g, (0,)), ENode(f, (2, 0)), ENode(h, (3,)), ENode(f, (1, 5))]
+    assert sorted(nodes, key=node_key) == [
+        ENode(h, (3,)), ENode(f, (1, 5)), ENode(f, (2, 0)), ENode(g, (0,))
+    ]
+
+
+def test_unchecked_add_agrees_with_add_node():
+    eg, then = arith_graph()
+    x, y = eg.intern(term("x")), eg.intern(term("y"))
+    mul = eg.symbol("mul", 2)
+    xy = eg._add(mul, (x, y))
+    assert eg.add_node(mul, (x, y)) == xy and eg._add(mul, [x, y]) == xy
+    assert eg.add_node(mul, (y, x)) == eg._add(mul, (y, x)) != xy
+    eg.merge(BOTTOM, x, y)
+    eg.rebuild()
+    assert eg.add_node(mul, (y, y)) == eg._add(mul, (y, y)) == eg.find(BOTTOM, xy)
+    assert len(eg.uf) == 4
+
+
+def test_intern_takes_any_depth():
+    eg = EGraph()
+    eg.declare_function("f", 1)
+    eg.declare_function("a", 0)
+    t = Term("a")
+    for _ in range(5000):
+        t = Term("f", (t,))
+    top = eg.intern(t)
+    assert top == 5000 and len(eg.uf) == 5001
+    assert eg.intern(t) == top and len(eg.uf) == 5001
+
+
+def test_intern_numbers_ids_in_post_order():
+    eg, then = arith_graph()
+    t = term("mul", term("shift", term("x")), term("mul", term("y"), term("x")))
+    assert eg.intern(t) == 4
+    assert [n.symbol.name for n in eg.created] == ["x", "shift", "y", "mul", "mul"]
+    assert eg.created[3].children == (2, 0) and eg.created[4].children == (1, 3)
 
 
 def test_contextual_congruence_after_rebuild():

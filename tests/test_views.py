@@ -262,3 +262,21 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
                     assert view.classes == build_view(eg, c).classes
                     check_index(view)
     assert rebuilds >= 600 and clashed >= 400
+
+
+def test_a_seeded_log_holds_the_live_entries_of_bottoms_log():
+    """A first view above bottom starts from bottom's row log without the
+    entries of rows bottom no longer holds, in bottom's order."""
+    dead = 0
+    for seed in range(40):
+        eg, _, _ = random_egraph(seed + 17000, 20, 3)
+        eg.rebuild()
+        bot = eg.views.get(BOTTOM)
+        live = {
+            sym: [e for e in rows if e[1] in bot.classes.get(e[2], ())]
+            for sym, rows in bot._log.items()
+        }
+        dead += sum(len(rows) - len(live[sym]) for sym, rows in bot._log.items())
+        ctx = eg.declare_context("fresh", {max(eg.lattice.ids())})
+        assert eg.views._seed(eg, ctx)._log == live, f"seed={seed}"
+    assert dead > 0
