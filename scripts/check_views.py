@@ -4,11 +4,13 @@
 Runs `fingerprint.programs()` (the shipped corpora and the benchmark's seed-1
 `scopes` and `ac` programs) with `ViewCache.get` wrapped from outside. Each
 time a get returns a view it has not returned before for that cache and
-context, three things must hold:
+context, four things must hold:
 
 - its classes equal those of a fresh `build_view`;
 - `_rows(symbol, since)`, with since the version of the context's previous
   view (-1 for its first), lists the rows held now and not then;
+- `_rows(symbol, -1)` lists every row of symbol it holds (a first join
+  reads it);
 - `_parents(symbol, pos, child)` equals a brute-force filter of its classes.
 
 Prints the number of views checked, or the first mismatch and exits 1:

@@ -1,9 +1,11 @@
 """Cost-based extraction of a concrete term from a class under a context.
 
 Costs are summed over the term tree with a per-symbol model (default 1 per
-node). Class costs are computed by bottom-up relaxation to a fixpoint;
-classes whose every derivation is cyclic, or is blocked by the forbidden
-symbol, keep infinite cost and raise NoFiniteTerm.
+node). Class costs are computed by bottom-up relaxation to a fixpoint over
+the classes reachable from the root through allowed nodes, the only ones a
+root's cost and term depend on; classes whose every derivation is cyclic,
+or is blocked by the forbidden symbol, keep infinite cost and raise
+NoFiniteTerm.
 
 Choice among equal-cost nodes is deterministic: smaller symbol name first,
 then lexicographically smaller canonical child ids. Extraction is a pure
@@ -69,6 +71,10 @@ def forbidden_names(forbid) -> set[str]:
     return {f.name if isinstance(f, FunctionSymbol) else f for f in forbid}
 
 
+class _Cycle(Exception):
+    """Every candidate of a class leads back into the classes being built."""
+
+
 def extract_from_view(
     view: CanonicalView,
     root: ClassId,
@@ -77,18 +83,23 @@ def extract_from_view(
 ) -> ExtractResult:
     model = model or CostModel()
     banned = forbidden_names(forbid)
-    usable: dict[ClassId, list[ENode]] = {
-        c: [n for n in nodes if n.symbol.name not in banned]
-        for c, nodes in view.classes.items()
-    }
-    cost: dict[ClassId, float] = {c: math.inf for c in view.classes}
+    usable: dict[ClassId, list[ENode]] = {}
+    todo = [root] if root in view.classes else []
+    while todo:
+        c = todo.pop()
+        if c not in usable:
+            usable[c] = nodes = [n for n in view.classes.get(c, ()) if n.symbol.name not in banned]
+            for n in nodes:
+                todo += n.children
+    # ascending ids: children mostly before their parents
+    cost: dict[ClassId, float] = dict.fromkeys(sorted(usable), math.inf)
 
     changed = True
     while changed:
         changed = False
-        for c, nodes in usable.items():
+        for c in cost:
             best = cost[c]
-            for node in nodes:
+            for node in usable[c]:
                 k = model.of(node.symbol.name)
                 for ch in node.children:
                     k += cost.get(ch, math.inf)
@@ -123,9 +134,6 @@ def extract_from_view(
         candidates[c] = sorted(achieving, key=_node_key)
 
     memo: dict[ClassId, Term] = {}
-
-    class _Cycle(Exception):
-        pass
 
     def build(c: ClassId, stack: frozenset[ClassId]) -> Term:
         got = memo.get(c)

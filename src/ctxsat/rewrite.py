@@ -31,14 +31,20 @@ E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
 backtracking join over the rows `(node, class)` of a context's cached view,
 which extends a match through an atom's class or through the rows over a
-class. Runs are semi-naive: each rule joins, once from each atom, only from
-the rows logged (see the views module) after its last run at the context.
-Rows change monotonically, so a match built only from older rows was found
-then and its right-hand side added and merged; skipping it leaves the
-relation as the next rebuild would. (Re-adding a nested right-hand side
-before that rebuild can meet a child merged at bottom meanwhile, so a run
-that re-matched everything may number fresh ids, and count unions per
-context, differently.)
+class. A constant (a nullary atom other than the root) is bound to its
+stored node's class before the join, so a parent row over another class
+fails at once, and a constant that is not stored matches nothing. A first
+join starts from the root symbol's rows in the view's row log (see the
+views module). Runs are semi-naive: each rule joins, once from each
+non-constant atom, only from the rows logged after its last run at the
+context; if a constant's own row was logged since, every match holds it,
+so the rule joins in full. Rows change monotonically, so a match built
+only from older rows was found then and its right-hand side added and
+merged; skipping it leaves the relation as the next rebuild would.
+(Re-adding a nested right-hand side before that rebuild can meet a child
+merged at bottom meanwhile, so a run that re-matched everything may number
+fresh ids, and count unions per context, differently.) Each rule's query
+is compiled once, when the rule is added.
 """
 
 from __future__ import annotations
@@ -179,7 +185,8 @@ class Engine:
         self._lambda_instances: list[_LambdaInstance] = []
         # (rule name, ctx) -> version_at(ctx) when the rule last matched there
         self._matched_at: dict[tuple[str, ContextId], int] = {}
-        self._queries: dict[Pattern, tuple] = {}
+        # id(rule.lhs) -> (rule.lhs, its compiled query), set by add_rule
+        self._queries: dict[int, tuple] = {}
 
     # registration
 
@@ -193,6 +200,7 @@ class Engine:
                 f"do not appear in the lhs"
             )
         self.rules.append(rule)
+        self._queries[id(rule.lhs)] = (rule.lhs, *_compile(rule.lhs))
 
     def add_conditional_scope(
         self, if_name: str, true_name: str, false_name: str, eq_name: str | None = None
@@ -239,22 +247,39 @@ class Engine:
         version_at(ctx) read after an earlier call, keeps only matches using
         a row logged after it (a bare variable, and the reference, which
         keeps no log, match in full)."""
-        self.eg.lattice.check(ctx)
+        eg = self.eg
+        eg.lattice.check(ctx)
         if strategy is Strategy.ON_THE_FLY:
-            db, since = OnTheFlyProvider(self.eg, ctx), None
+            db, since = OnTheFlyProvider(eg, ctx), None
         else:
-            db = self.eg.views.get(ctx)
-        if pattern not in self._queries:
-            self._queries[pattern] = _compile(pattern)
-        atoms, names, width = self._queries[pattern]
+            db = eg.views.get(ctx)
+        # a rule's query, by identity (a pattern hashes slowly, and the entry
+        # keeps it alive); any other pattern compiles here
+        _, atoms, consts, names, width = (
+            self._queries.get(id(pattern)) or (pattern, *_compile(pattern))
+        )
         if not atoms:
             return [({pattern.name: c}, c) for c in db.class_ids()]
+        bound = [None] * width
+        for j in consts:
+            sym, _, out = atoms[j]
+            cls = eg._nodes.get(ENode(sym, ()))
+            if cls is None:
+                return []
+            bound[out] = eg.uf._find(ctx, cls)
+            # a constant's new row is in every match
+            if since is not None and db._rows(sym, since):
+                since = None
         if since is None:
             f = atoms[0][0]
-            starts = [(0, [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f])]
+            if strategy is Strategy.ON_THE_FLY:
+                seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
+            else:
+                seeds = db._rows(f, -1)
+            starts = [(0, seeds)]
         else:
-            starts = [(i, db._rows(atom[0], since)) for i, atom in enumerate(atoms)]
-        found = [b for i, seeds in starts for b in _join(db, atoms, width, i, seeds)]
+            starts = [(i, db._rows(a[0], since)) for i, a in enumerate(atoms) if i not in consts]
+        found = [b for i, seeds in starts for b in _join(db, atoms, consts, bound, i, seeds)]
         results = {(b[0], tuple((name, b[slot]) for name, slot in names)) for b in found}
         return [(dict(items), root) for root, items in sorted(results)]
 
@@ -290,29 +315,29 @@ class Engine:
         """
         if not self.conditionals and not self.lambdas:
             return 0
-        eg = self.eg
+        eg, find = self.eg, self.eg.uf._find
         members = eg.classes()
         if_syms = {sc.if_sym: sc for sc in self.conditionals}
         app_syms = {sc.app_sym: sc for sc in self.lambdas}
         lam_syms = {sc.lam_sym for sc in self.lambdas}
 
         cond_keys = {
-            (inst.gamma, eg.find(BOTTOM, inst.cond)): inst
+            (inst.gamma, find(BOTTOM, inst.cond)): inst
             for inst in self._cond_instances
         }
         lam_keys = {
-            (inst.gamma, eg.find(BOTTOM, inst.app_class)): inst
+            (inst.gamma, find(BOTTOM, inst.app_class)): inst
             for inst in self._lambda_instances
         }
 
         new_instances = 0
         deferred_merges: list[tuple[ContextId, ClassId, ClassId]] = []
         seen: set[tuple[ContextId, ClassId]] = set()
-        work = deque((BOTTOM, eg.find(BOTTOM, r)) for r in self.roots)
+        work = deque((BOTTOM, find(BOTTOM, r)) for r in self.roots)
 
         while work:
             gamma, cls = work.popleft()
-            cls = eg.find(BOTTOM, cls)
+            cls = find(BOTTOM, cls)
             if (gamma, cls) in seen:
                 continue
             seen.add((gamma, cls))
@@ -323,15 +348,15 @@ class Engine:
                     work.append((gamma, cond))
                     true_cls = eg.class_of_node(ENode(sc.true_sym, ()))
                     false_cls = eg.class_of_node(ENode(sc.false_sym, ()))
-                    if eg.equiv(gamma, cond, true_cls):
+                    if find(gamma, cond) == find(gamma, true_cls):
                         deferred_merges.append((gamma, cls, then_cls))
                         work.append((gamma, then_cls))
                         continue
-                    if eg.equiv(gamma, cond, false_cls):
+                    if find(gamma, cond) == find(gamma, false_cls):
                         deferred_merges.append((gamma, cls, else_cls))
                         work.append((gamma, else_cls))
                         continue
-                    key = (gamma, eg.find(BOTTOM, cond))
+                    key = (gamma, find(BOTTOM, cond))
                     inst = cond_keys.get(key)
                     if inst is None:
                         then_ctx = self._fresh_context(gamma, "then")
@@ -380,15 +405,14 @@ class Engine:
         return new_instances
 
     def _lambda_nodes(self, fn_cls: ClassId, sc: LambdaScope) -> list[ENode]:
-        eg = self.eg
-        nodes = eg.classes()[eg.find(BOTTOM, fn_cls)]
+        nodes = self.eg.classes()[self.eg.uf._find(BOTTOM, fn_cls)]
         return sorted((n for n in nodes if n.symbol == sc.lam_sym), key=node_key)
 
     def _reflect_equalities(self) -> None:
         """In any context where an equality node is proven true, merge its
         operands there. Active only for constructs that declare an equality
         symbol."""
-        eg = self.eg
+        eg, find = self.eg, self.eg.uf._find
         for sc in self.conditionals:
             if sc.eq_sym is None:
                 continue
@@ -403,7 +427,7 @@ class Engine:
             )
             for ctx in eg.lattice.topo_order():
                 for node, cls in eq_nodes:
-                    if eg.equiv(ctx, cls, true_cls):
+                    if find(ctx, cls) == find(ctx, true_cls):
                         eg.merge(ctx, node.children[0], node.children[1])
 
     def _fresh_context(self, gamma: ContextId, kind: str) -> ContextId:
@@ -435,7 +459,7 @@ class Engine:
     def apply_lambda_lifts(self) -> int:
         """Equate each application with a cheapest binder-free body term."""
         count = 0
-        eg = self.eg
+        eg, find = self.eg, self.eg.uf._find
         for inst in self._lambda_instances:
             for lam_node in self._lambda_nodes(inst.fn_class, inst.construct):
                 binder_cls, body_cls = lam_node.children
@@ -445,7 +469,7 @@ class Engine:
                 try:
                     res = extract_from_view(
                         eg.views.get(inst.body_ctx),
-                        eg.find(inst.body_ctx, body_cls),
+                        find(inst.body_ctx, body_cls),
                         self.cost_model,
                         forbid,
                     )
@@ -453,14 +477,13 @@ class Engine:
                     # every term of the body mentions the binder
                     continue
                 lifted = eg.intern(res.term)
-                if not eg.equiv(inst.gamma, inst.app_class, lifted):
+                if find(inst.gamma, inst.app_class) != find(inst.gamma, lifted):
                     eg.merge(inst.gamma, inst.app_class, lifted)
                     count += 1
         return count
 
     def _binder_names(self, binder_cls: ClassId) -> set[str]:
-        eg = self.eg
-        nodes = eg.classes()[eg.find(BOTTOM, binder_cls)]
+        nodes = self.eg.classes()[self.eg.uf._find(BOTTOM, binder_cls)]
         return {n.symbol.name for n in nodes if n.symbol.arity == 0}
 
     # saturation
@@ -498,7 +521,8 @@ class Engine:
 
 def _compile(pattern: Pattern):
     """Atoms (symbol, argument slots, class slot), root first with its class
-    in slot 0, the (variable, slot) pairs, and the slot count."""
+    in slot 0, the constants (nullary atoms other than the root), the
+    (variable, slot) pairs, and the slot count."""
     atoms: list = []
     slots: dict[str, int] = {}
 
@@ -511,15 +535,16 @@ def _compile(pattern: Pattern):
         return out
 
     visit(pattern)
-    return atoms, sorted(slots.items()), len(slots) + len(atoms)
+    consts = frozenset(i for i, atom in enumerate(atoms) if i and not atom[1])
+    return atoms, consts, sorted(slots.items()), len(slots) + len(atoms)
 
 
-def _join(db, atoms: list, width: int, start: int, seeds) -> list[list]:
-    """Slot bindings of the matches whose row for atom `start` is in seeds;
-    each next atom is reached through its class or as a parent."""
-    empty = [None] * width
-    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, empty))]
-    done, frontier = {start}, [start]
+def _join(db, atoms: list, consts, bound: list, start: int, seeds) -> list[list]:
+    """Slot bindings extending bound (the constants' classes) whose row for
+    atom `start` is in seeds; each next atom is reached through its class
+    or as a parent, and a constant's parent row must hold its class."""
+    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, bound))]
+    done, frontier = {start, *consts}, [start]
     while frontier and partial:
         _, args, out = atoms[frontier.pop()]
         for j, atom in enumerate(atoms):

@@ -17,26 +17,29 @@ also take as the reference; stats and read-only queries scan the node store.
 Patching: every cached view is patched from its predecessor and the change
 log (the roots lost at bottom and at the context, the nodes of the ids
 created since). Bottom's first view is patched from an empty one; any other
-context's first view is a copy of the bottom view patched from the whole log
-of the context's layer. A lost root's rows move into its class now, new ids
-add their nodes' rows, and only those classes and the classes with a row
-over a lost root (`_uses`: child class -> parent classes) are
-re-canonicalized. `_sig` keeps one class per row, and `clashes` lists pairs
-of live classes holding a common row, the predecessor's still apart
-included: any two classes that share a row are joined through them, so
-merging them restores congruence. The patch state (`_sig`, `_uses` and the
-row log) is shared along a context's chain of views, not copied: a
-superseded view's classes stay readable, but only the newest view is
-patched and answers the join's lookups.
+context's first view is a copy of its cover's current view (of the bottom
+view if it has several covers) patched from the whole log of the context's
+layer. The links the context copied from its cover at declaration lost no
+class of that view, so only the context's own merges move rows. A lost
+root's rows move into its class now, new ids add their nodes' rows, and only
+those classes and the classes with a row over a lost root (`_uses`: child
+class -> parent classes) are re-canonicalized. `_sig` keeps one class per
+row, and `clashes` lists pairs of live classes holding a common row, the
+predecessor's still apart included: any two classes that share a row are
+joined through them, so merging them restores congruence. The patch state
+(`_sig`, `_uses` and the row log) is shared along a context's chain of
+views, not copied: a superseded view's classes stay readable, but only the
+newest view is patched and answers the join's lookups.
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node,
 class)`, at the new view's version; a first view starts from the live
-entries of the bottom view's logs. Versions rise along the log, so
+entries of the log of the view it copies. Versions rise along the log, so
 `_rows(symbol, since)` walks it back to since and keeps the rows the view
 still holds: the delta semi-naive matching joins from (see the rewrite
-module). `_parents` reads the rows over a child class from the classes in
-`_uses`. The patch's own state is thus the join's only index.
+module), and with since = -1 every row of the symbol, which a first join
+starts from. `_parents` reads the rows over a child class from the classes
+in `_uses`. The patch's own state is thus the join's only index.
 """
 
 from __future__ import annotations
@@ -195,21 +198,22 @@ class ViewCache:
         return view
 
     def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
-        """What ctx's first view is patched from: at bottom an empty view, else
-        a copy of the bottom view with ctx's whole layer log still to read.
-        Only live row log entries are copied: a row dead at bottom stays dead
-        above it."""
-        eg.lattice.check(ctx)
+        """What ctx's first view is patched from: at bottom an empty view,
+        else a copy of its one cover's current view (of bottom's if it has
+        several) with ctx's whole layer log still to read; the links it
+        copied from the cover pop no class of that view. Only live row log
+        entries are copied: a row dead below ctx stays dead at ctx."""
         if ctx == BOTTOM:
             return CanonicalView(BOTTOM, {}, 0)
-        bot = self.get(BOTTOM)
+        covers = eg.lattice.covers(ctx)
+        base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
         log = {
-            sym: [e for e in rows if e[1] in bot.classes.get(e[2], ())]
-            for sym, rows in bot._log.items()
+            sym: [e for e in rows if e[1] in base.classes.get(e[2], ())]
+            for sym, rows in base._log.items()
         }
         return replace(
-            bot, context=ctx, _sig=bot._sig.copy(), _uses=bot._uses.copy(),
-            _log=log, _marks=(bot._marks[0], 0, bot._marks[2]),
+            base, context=ctx, _sig=base._sig.copy(), _uses=base._uses.copy(),
+            _log=log, _marks=(base._marks[0], 0, base._marks[2]),
         )
 
 

@@ -9,8 +9,10 @@ with the engine.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
+from ctxsat.egraph import Term
 from ctxsat.lattice import ContextLattice
 
 
@@ -157,8 +159,9 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     `_rows(sym, since)` must list, once each, the rows (node, class) that
     the view holds and prev did not, where since is prev's version (prev is
     an earlier view of the same context, or None, which reads as -1 and no
-    rows). `_parents(sym, pos, child)` must list the rows whose child at
-    pos is child.
+    rows), and `_rows(sym, -1)` every row of sym the view holds, which a
+    first join reads. `_parents(sym, pos, child)` must list the rows whose
+    child at pos is child.
     """
 
     def rows(v):
@@ -172,11 +175,56 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
         for pos, child in enumerate(n.children):
             parents[(n.symbol, pos, child)].add((n, c))
     for sym in symbols:
-        got = view._rows(sym, since)
-        if len(got) != len(set(got)) or set(got) != {r for r in new if r[0].symbol == sym}:
-            return f"_rows({sym.name}, {since}) at context {view.context}"
+        for after, want in ((since, new), (-1, held)):
+            got = view._rows(sym, after)
+            if len(got) != len(set(got)) or set(got) != {r for r in want if r[0].symbol == sym}:
+                return f"_rows({sym.name}, {after}) at context {view.context}"
     for (sym, pos, child), want in parents.items():
         got = view._parents(sym, pos, child)
         if len(got) != len(set(got)) or set(got) != want:
             return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
     return None
+
+
+def whole_view_extraction(classes, root, cost_of, banned=()):
+    """(cost, term) of a cheapest term of root's class over a view's classes
+    (class -> nodes), avoiding the banned symbol names, or None if there is
+    none. Costs are relaxed over every class at once until none falls. A
+    class's term is built from its cheapest nodes by smaller symbol name,
+    then smaller children, skipping a node with a child whose term would
+    re-enter a class on the way down; a class's first built term is reused.
+    """
+
+    def node_cost(n):
+        k = cost_of(n.symbol.name)
+        for ch in n.children:
+            k += cost.get(ch, math.inf)
+        return k
+
+    allowed = {c: [n for n in ns if n.symbol.name not in banned] for c, ns in classes.items()}
+    cost = dict.fromkeys(classes, math.inf)
+    while True:
+        new = {c: min([cost[c], *map(node_cost, ns)]) for c, ns in allowed.items()}
+        if new == cost:
+            break
+        cost = new
+    if cost.get(root, math.inf) == math.inf:
+        return None
+    memo = {}
+
+    def build(c, path):
+        if c in memo or c in path:
+            return memo.get(c)
+        cheapest = [n for n in allowed[c] if node_cost(n) == cost[c]]
+        for n in sorted(cheapest, key=lambda n: (n.symbol.name, n.children)):
+            kids = []
+            for ch in n.children:
+                kids.append(build(ch, path | {c}))
+                if kids[-1] is None:
+                    break
+            else:
+                memo[c] = Term(n.symbol.name, tuple(kids))
+                return memo[c]
+        return None
+
+    return cost[root], build(root, frozenset())

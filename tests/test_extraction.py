@@ -6,6 +6,10 @@ import pytest
 
 from ctxsat import BOTTOM, CostModel, EGraph, Term, extract, term
 from ctxsat.errors import NoFiniteTerm
+from ctxsat.extract import extract_from_view
+
+from oracles import whole_view_extraction
+from test_egraph import random_egraph
 
 
 def enumerate_terms(eg, ctx, cls, depth):
@@ -230,3 +234,30 @@ def test_cost_model_rejects_negative():
         with pytest.raises(ValueError):
             m.set("f", bad)
     assert m.of("f") == 1
+
+
+def test_extract_from_view_agrees_with_a_whole_view_fixpoint():
+    """Extraction reads only the classes reachable from the root; the costs,
+    ties and terms are those of a fixpoint over every class of the view."""
+    outcomes = {"term": 0, "none": 0}
+    for seed in range(150):
+        # merges close cycles; zero costs make ties and zero-cost cycles
+        eg, _, _ = random_egraph(seed + 23000, 16, 4)
+        eg.rebuild()
+        rng = random.Random(seed)
+        names = sorted({s.name for s in eg.symbols()})
+        model = CostModel({n: rng.choice([0, 0.5, 1, 1, 2, 3]) for n in names})
+        for ctx in eg.lattice.ids():
+            view = eg.views.get(ctx)
+            for root in view.classes:
+                for forbid in (None, {rng.choice(names)}):
+                    want = whole_view_extraction(view.classes, root, model.of, forbid or ())
+                    try:
+                        got = extract_from_view(view, root, model, forbid)
+                    except NoFiniteTerm:
+                        assert want is None, f"seed={seed} ctx={ctx} root={root}"
+                        outcomes["none"] += 1
+                    else:
+                        assert (got.cost, got.term) == want, f"seed={seed} ctx={ctx} root={root}"
+                        outcomes["term"] += 1
+    assert min(outcomes.values()) > 100

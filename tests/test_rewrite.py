@@ -20,7 +20,10 @@ from ctxsat import (
 )
 from ctxsat.assume import nested_conditional_program
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
-from ctxsat.dsl import Program, RunCmd, execute, parse_program, run_source
+from ctxsat.dsl import (
+    Program, RunCmd, _sexp_to_term, _term_to_pattern, execute, parse_program, parse_sexprs,
+    run_source,
+)
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from ctxsat.rewrite import pattern_vars
 
@@ -189,6 +192,93 @@ def test_ematch_since_returns_only_new_matches():
                 assert not new, f"seed={seed}"  # a bare variable matches in full
             assert now == brute_force_matches(eng, ctx, p), f"seed={seed}"
             assert match_set(eng, ctx, p, Strategy.ON_THE_FLY) == now, f"seed={seed}"
+
+
+def constant_graph(seed):
+    """A random graph with p/2 and q/1 nodes over its constants and classes,
+    merged at random contexts, and the constant z declared but not stored."""
+    eg, _, _ = random_egraph(seed, max_nodes=12, max_ctx=4)
+    rng = random.Random(seed)
+    p, q = eg.declare_function("p", 2), eg.declare_function("q", 1)
+    eg.declare_function("z", 0)
+    k0, k1 = eg.intern(term("k0")), eg.intern(term("k1"))
+    for t in ("(p k0 k0)", "(p k0 k1)", "(q k1)", "(p (q k1) k0)", "(q (p k1 k0))"):
+        eg.intern(parse_term(t))
+    for _ in range(6):
+        n = len(eg.uf)
+        sym = rng.choice((p, q))
+        eg.add_node(sym, tuple(rng.choice((k0, k1, rng.randrange(n))) for _ in range(sym.arity)))
+    for _ in range(rng.randint(0, 4)):
+        n = len(eg.uf)
+        eg.merge(rng.randrange(len(eg.lattice)), rng.randrange(n), rng.randrange(n))
+    eg.rebuild()
+    return eg
+
+
+def parse_term(text):
+    """A term, variables allowed, from its DSL text."""
+    return _sexp_to_term(parse_sexprs(text)[0], allow_vars=True)
+
+
+CONSTANT_PATTERNS = [
+    "k0",  # a nullary root
+    "(p k0 k0)", "(p k0 ?x)", "(p ?x ?x)",  # a repeated constant
+    "(p (q k1) ?x)", "(q (p ?x k0))", "(p (q ?x) k0)",  # under a nested application
+    "(p ?x z)", "(q z)",  # a constant that is not stored
+]
+
+
+def test_ematch_binds_constants_as_brute_force_does():
+    found = 0
+    for seed in range(60):
+        eg = constant_graph(seed + 21000)
+        eng = Engine(eg)
+        rng = random.Random(seed)
+        pats = [_term_to_pattern(eng, parse_term(t)) for t in CONSTANT_PATTERNS]
+        consts = [s for s in eg.symbols() if s.arity == 0]
+        pats += [
+            PatternApp(sym, tuple(
+                PatternApp(rng.choice(consts)) if rng.random() < 0.5
+                else random_pattern(rng, eg.symbols(), 1, 1)
+                for _ in range(sym.arity)
+            ))
+            for sym in rng.sample([s for s in eg.symbols() if s.arity], 2)
+        ]
+        for ctx in eg.lattice.ids():
+            for pat in pats:
+                expected = brute_force_matches(eng, ctx, pat)
+                assert match_set(eng, ctx, pat) == expected, f"seed={seed} {pat}"
+                assert match_set(eng, ctx, pat, Strategy.ON_THE_FLY) == expected
+                assert len(eng.ematch(ctx, pat)) == len(expected)
+                found += len(expected)
+    assert found > 1000
+
+
+def test_since_returns_every_match_through_a_constant_whose_class_moved():
+    """p's rows do not change when the constant b joins a's class: only b's
+    own row is new, and every match runs through it."""
+    for at in ("bot", "then"):
+        eng = Engine()
+        eg = eng.eg
+        eg.declare_context("then", {BOTTOM})
+        for name, arity in [("p", 2), ("a", 0), ("b", 0), ("c", 0), ("d", 0)]:
+            eg.declare_function(name, arity)
+        # b is created last, so its class is the one that moves
+        a = eg.intern(term("a"))
+        for leaf in ("c", "d"):
+            eg.intern(term("p", term("a"), term(leaf)))
+        b = eg.intern(term("b"))
+        eg.rebuild()
+        pat = _term_to_pattern(eng, parse_term("(p b ?y)"))
+        ctx = eg.context(at)
+        assert eng.ematch(ctx, pat) == []
+        since = eg.version_at(ctx)
+        eg.merge(ctx, a, b)
+        eg.rebuild()
+        new = {(root, tuple(sorted(s.items()))) for s, root in eng.ematch(ctx, pat, since=since)}
+        assert len(new) == 2
+        assert new == brute_force_matches(eng, ctx, pat)
+        assert eng.ematch(ctx, pat, since=eg.version_at(ctx)) == []
 
 
 SYMBOLS = [("f", 2), ("g", 1), ("a", 0), ("b", 0), ("c", 0)]

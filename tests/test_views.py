@@ -264,19 +264,36 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
     assert rebuilds >= 600 and clashed >= 400
 
 
-def test_a_seeded_log_holds_the_live_entries_of_bottoms_log():
-    """A first view above bottom starts from bottom's row log without the
-    entries of rows bottom no longer holds, in bottom's order."""
-    dead = 0
+def live_log(view):
+    return {
+        sym: [e for e in rows if e[1] in view.classes.get(e[2], ())]
+        for sym, rows in view._log.items()
+    }
+
+
+def test_a_seeded_log_holds_the_live_entries_of_its_sources_log():
+    """A first view above bottom starts from its one cover's current view,
+    or from bottom's if it has several covers, with that view's row log
+    without the entries of rows the view no longer holds, in its order."""
+    dead = {"cover": 0, "bottom": 0}
     for seed in range(40):
         eg, _, _ = random_egraph(seed + 17000, 20, 3)
         eg.rebuild()
-        bot = eg.views.get(BOTTOM)
-        live = {
-            sym: [e for e in rows if e[1] in bot.classes.get(e[2], ())]
-            for sym, rows in bot._log.items()
-        }
-        dead += sum(len(rows) - len(live[sym]) for sym, rows in bot._log.items())
-        ctx = eg.declare_context("fresh", {max(eg.lattice.ids())})
-        assert eg.views._seed(eg, ctx)._log == live, f"seed={seed}"
-    assert dead > 0
+        rng = random.Random(seed)
+        top = max(eg.lattice.ids())
+        left = eg.declare_context("left", {top})
+        right = eg.declare_context("right", {top})
+        for ctx in (BOTTOM, top, left, left, right):
+            n = len(eg.uf)
+            eg.merge(ctx, rng.randrange(n), rng.randrange(n))
+        eg.rebuild()
+        one = eg.declare_context("one", {left})
+        both = eg.declare_context("both", {left, right})
+        for ctx, source, kind in ((one, left, "cover"), (both, BOTTOM, "bottom")):
+            view = eg.views.get(source)
+            want = live_log(view)
+            dead[kind] += sum(len(rows) - len(want[sym]) for sym, rows in view._log.items())
+            seed_view = eg.views._seed(eg, ctx)
+            assert seed_view._log == want, f"seed={seed} ctx={ctx}"
+            assert seed_view.classes == view.classes, f"seed={seed} ctx={ctx}"
+    assert dead["cover"] > 0 and dead["bottom"] > 0
