@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Paired in-process timing of two checkouts on one benchmark workload.
+
+Loads the `ctxsat` package of each checkout under its own module name, and
+this checkout's perfbench/workloads.py (read-only) once for each, bound to
+that checkout's package. Every distinct op of the workload's seed-1 set-up
+then runs in ABBA order (A, B, B, A), with the garbage collector paused
+around each call and every op's own verdict checked. A round sums each
+side's times over all ops; its speed-up is A's sum over B's. Prints the
+median speed-up over the rounds and its quartiles:
+
+    python3 scripts/ab_time.py --workload scopes --a ../before --b . --rounds 10
+
+`--a` and `--b` are checkout roots (each with src/ctxsat/); a speed-up
+above 1 means B is faster. On a 2-vCPU VM a round of `scopes` takes about
+4 s, of `ac` about 2 s and of `query` under 1 s, after a set-up of a few
+seconds per side.
+"""
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load(root: Path, tag: str):
+    """This checkout's workloads module, bound to root's ctxsat, which is
+    imported as `ctxsat_<tag>`, and the sys.modules entries that make the
+    name `ctxsat` (which the package itself resolves at run time, as for
+    its corpora) refer to that package."""
+    pkg_dir = root / "src" / "ctxsat"
+    if not (pkg_dir / "__init__.py").is_file():
+        raise SystemExit(f"error: no ctxsat sources under {root / 'src'}")
+    name = f"ctxsat_{tag}"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for sub in sorted(p.stem for p in pkg_dir.glob("*.py") if p.stem != "__init__"):
+        importlib.import_module(f"{name}.{sub}")
+    # workloads imports `ctxsat`; set-up and timed calls install these again
+    aliases = {
+        "ctxsat" + key[len(name):]: mod
+        for key, mod in sys.modules.items()
+        if key == name or key.startswith(name + ".")
+    }
+    sys.modules.update(aliases)
+    spec = importlib.util.spec_from_file_location(f"workloads_{tag}", WORKLOADS)
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return wl, aliases
+
+
+def distinct_ops(wl, aliases: dict, workload: str) -> list:
+    """The distinct ops of the workload's seed-1 set-up, in a fixed order."""
+    sys.modules.update(aliases)
+    ops, seen = [], set()
+    for op in wl.PREPARE[workload](1).rounds.all_ops():
+        key = getattr(op, "source", None) or (type(op).__name__, op.label)
+        if key not in seen:
+            seen.add(key)
+            ops.append(op)
+    return ops
+
+
+def timed(op, aliases: dict) -> float:
+    sys.modules.update(aliases)
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        op()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=["scopes", "ac", "query"], required=True)
+    parser.add_argument("--a", type=Path, required=True, help="the baseline checkout root")
+    parser.add_argument("--b", type=Path, default=ROOT, help="the checkout root to compare")
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    wl_a, aliases_a = load(args.a.resolve(), "a")
+    wl_b, aliases_b = load(args.b.resolve(), "b")
+    ops_a = distinct_ops(wl_a, aliases_a, args.workload)
+    ops_b = distinct_ops(wl_b, aliases_b, args.workload)
+    labels = [op.label for op in ops_a]
+    if labels != [op.label for op in ops_b]:
+        raise SystemExit("error: the two checkouts' workloads list different ops")
+    ratios = []
+    for _ in range(args.rounds):
+        sum_a = sum_b = 0.0
+        for op_a, op_b in zip(ops_a, ops_b):
+            sum_a += timed(op_a, aliases_a)
+            sum_b += timed(op_b, aliases_b) + timed(op_b, aliases_b)
+            sum_a += timed(op_a, aliases_a)
+        ratios.append(sum_a / sum_b)
+        print(f"round {len(ratios)}: A {sum_a / 2:.3f} s, B {sum_b / 2:.3f} s, "
+              f"speed-up x{ratios[-1]:.3f}", flush=True)
+    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"{args.workload}: {len(ops_a)} ops, {args.rounds} rounds, "
+          f"speed-up x{med:.3f} (IQR {q1:.3f}-{q3:.3f})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,7 +5,8 @@
     ctxsat compare-assume <file> [--json PATH]
     ctxsat stats <file> --context NAME [--json PATH]
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 parse or engine error.
+Exit codes: 0 all checks pass, 1 some check failed, 2 parse or engine error
+(a program file that is not UTF-8 text included).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _write_json(data: dict, path: str | None) -> str:
 
 
 def _cmd_run(args) -> int:
-    program = parse_program(Path(args.file).read_text())
+    program = parse_program(Path(args.file).read_text(encoding="utf-8"))
     out = execute(program, max_iterations=args.max_iters)
     for check in out.checks:
         status = "PASS" if check.ok else "FAIL"
@@ -52,14 +53,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare_assume(args) -> int:
-    program = parse_program(Path(args.file).read_text())
+    program = parse_program(Path(args.file).read_text(encoding="utf-8"))
     cmp = assume_encode(program)
     print(_write_json(cmp.to_json(), args.json_path), end="")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    program = parse_program(Path(args.file).read_text())
+    program = parse_program(Path(args.file).read_text(encoding="utf-8"))
     out = execute(program)
     eg = out.engine.eg
     ctx = eg.lattice.id_of(args.context)
@@ -122,6 +123,9 @@ def main(argv=None) -> int:
         return 2
     except CtxSatError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {args.file}: not UTF-8 text ({e})", file=sys.stderr)
         return 2
     except RecursionError as e:
         print(f"error: input nested too deeply ({e})", file=sys.stderr)

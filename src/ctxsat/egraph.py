@@ -42,6 +42,7 @@ mutations (stats, class_nodes, find) are safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -71,7 +72,8 @@ class ENode(NamedTuple):
 
 
 def node_key(node: ENode):
-    """Deterministic node order: symbol name, arity, then children."""
+    """Deterministic node order: symbol name, arity, then children. An ENode
+    compares as this key does, so `sorted(nodes)` gives the same order."""
     return (node.symbol.name, node.symbol.arity, node.children)
 
 
@@ -158,7 +160,7 @@ class EGraph:
     def canonical_node(self, ctx: ContextId, node: ENode) -> ENode:
         # node's children must be known ids: they are not validated. An
         # unchanged node is returned as is, so views share the store's nodes
-        children = tuple(self.uf._find(ctx, ch) for ch in node.children)
+        children = tuple(map(self.uf._find, repeat(ctx), node.children))
         return node if children == node.children else ENode(node.symbol, children)
 
     def add_node(self, symbol: FunctionSymbol, children: tuple[ClassId, ...]) -> ClassId:

@@ -85,7 +85,9 @@ class LayeredUnionFind:
             r = self._base_find(x)
         if ctx == BOTTOM:
             return r
-        ov = self._overlay_for(ctx)
+        ov = self._overlay.get(ctx)
+        if ov is None:
+            ov = self._overlay_for(ctx)
         nxt = ov.get(r)
         if nxt is None:
             return r
@@ -127,7 +129,14 @@ class LayeredUnionFind:
         root that is an overlay key at neither context is its own
         representative in both, so only overlay keys need grouping, and a
         group whose two representatives agree also holds that representative.
-        Returns the number of merges that were new at lo.
+
+        Keys of lo's own overlay are not grouped: such a key k is lo-equal
+        to r = find(lo, k), no lo key, which as lo is below c1 and c2 has
+        k's representatives there. So r is grouped itself (a key at c1 or
+        c2) or heads k's group (its own representative at both), and k's
+        merges, like its lo-class, are r's: dropping k changes neither the
+        relation at lo nor the count. Returns the number of merges that
+        were new at lo.
         """
         if not (self.lattice.leq(lo, c1) and self.lattice.leq(lo, c2)):
             raise NotBelow(
@@ -135,6 +144,8 @@ class LayeredUnionFind:
                 f"{self.lattice.name(c1)!r} and {self.lattice.name(c2)!r}"
             )
         keys = {k for c in (c1, c2) if c != BOTTOM for k in self._overlay_for(c)}
+        if lo != BOTTOM:
+            keys -= self._overlay_for(lo).keys()
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
         for k in keys:
             groups[(self._find(c1, k), self._find(c2, k))].append(k)

@@ -29,7 +29,7 @@ intersections at the enclosing branch context rather than at bottom.
 
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
-backtracking join over the rows `(node, class)` of a context's cached view,
+backtracking join (`views._join`) over the rows `(node, class)` of a view,
 which extends a match through an atom's class or through the rows over a
 class. A constant (a nullary atom other than the root) is bound to its
 stored node's class before the join, so a parent row over another class
@@ -43,8 +43,11 @@ only from older rows was found then and its right-hand side added and
 merged; skipping it leaves the relation as the next rebuild would.
 (Re-adding a nested right-hand side before that rebuild can meet a child
 merged at bottom meanwhile, so a run that re-matched everything may number
-fresh ids, and count unions per context, differently.) Each rule's query
-is compiled once, when the rule is added.
+fresh ids, and count unions per context, differently.) A delta call whose
+atoms' symbols logged no row since returns before binding anything, and a
+full join whose root's arguments are all constants probes the view's `_sig`
+for its one row while the view reports no clash. Each rule's query, and its
+right-hand side as post-order steps, compile once, when the rule is added.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, node_key
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy
+from .views import OnTheFlyProvider, Strategy, _join
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,10 @@ class Engine:
         self._lambda_instances: list[_LambdaInstance] = []
         # (rule name, ctx) -> version_at(ctx) when the rule last matched there
         self._matched_at: dict[tuple[str, ContextId], int] = {}
-        # id(rule.lhs) -> (rule.lhs, its compiled query), set by add_rule
+        # id(rule.lhs) -> (rule.lhs, its compiled query), and rule name ->
+        # its compiled right-hand side, set by add_rule
         self._queries: dict[int, tuple] = {}
+        self._plans: dict[str, tuple] = {}
 
     # registration
 
@@ -201,6 +206,7 @@ class Engine:
             )
         self.rules.append(rule)
         self._queries[id(rule.lhs)] = (rule.lhs, *_compile(rule.lhs))
+        self._plans[rule.name] = _compile_rhs(rule.rhs)
 
     def add_conditional_scope(
         self, if_name: str, true_name: str, false_name: str, eq_name: str | None = None
@@ -260,34 +266,52 @@ class Engine:
         )
         if not atoms:
             return [({pattern.name: c}, c) for c in db.class_ids()]
+        # idle: no row of any atom's symbol was logged since
+        if since is not None and all(db._newest(a[0]) <= since for a in atoms):
+            return []
         bound = [None] * width
         for j in consts:
             sym, _, out = atoms[j]
-            cls = eg._nodes.get(ENode(sym, ()))
+            cls = eg._nodes.get((sym, ()))
             if cls is None:
                 return []
             bound[out] = eg.uf._find(ctx, cls)
             # a constant's new row is in every match
-            if since is not None and db._rows(sym, since):
+            if since is not None and db._newest(sym) > since and db._rows(sym, since):
                 since = None
         if since is None:
-            f = atoms[0][0]
+            f, args, _ = atoms[0]
+            key = tuple(map(bound.__getitem__, args))
             if strategy is Strategy.ON_THE_FLY:
                 seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
+            elif None not in key and not db.clashes:
+                # constants bind every argument: the root's one possible row
+                node = ENode(f, key)
+                c = db._sig.get(node)
+                seeds = [(node, c)] if node in db.classes.get(c, ()) else []
             else:
                 seeds = db._rows(f, -1)
             starts = [(0, seeds)]
         else:
             starts = [(i, db._rows(a[0], since)) for i, a in enumerate(atoms) if i not in consts]
-        found = [b for i, seeds in starts for b in _join(db, atoms, consts, bound, i, seeds)]
+        found = [
+            b for i, seeds in starts if seeds for b in _join(db, atoms, consts, bound, i, seeds)
+        ]
+        if not found:
+            return []
         results = {(b[0], tuple((name, b[slot]) for name, slot in names)) for b in found}
         return [(dict(items), root) for root, items in sorted(results)]
 
     def _instantiate(self, pat: Pattern, subst: dict[str, ClassId]) -> ClassId:
-        if isinstance(pat, PatternVar):
-            return subst[pat.name]
-        children = tuple(self._instantiate(a, subst) for a in pat.args)
-        return self.eg._add(pat.symbol, children)
+        return self._build(_compile_rhs(pat), subst)
+
+    def _build(self, plan: tuple, subst: dict[str, ClassId]) -> ClassId:
+        """Add a compiled right-hand side over subst; returns its class."""
+        steps, top = plan
+        env: dict = dict(subst)
+        for i, (sym, args) in enumerate(steps):
+            env[i] = self.eg._add(sym, tuple(map(env.__getitem__, args)))
+        return env[top]
 
     def _admissible_contexts(self, scope: RuleScope) -> list[ContextId]:
         lat = self.eg.lattice
@@ -341,7 +365,7 @@ class Engine:
             if (gamma, cls) in seen:
                 continue
             seen.add((gamma, cls))
-            for node in sorted(members[cls], key=node_key):
+            for node in members[cls]:
                 sc = if_syms.get(node.symbol)
                 if sc is not None:
                     cond, then_cls, else_cls = node.children
@@ -406,7 +430,7 @@ class Engine:
 
     def _lambda_nodes(self, fn_cls: ClassId, sc: LambdaScope) -> list[ENode]:
         nodes = self.eg.classes()[self.eg.uf._find(BOTTOM, fn_cls)]
-        return sorted((n for n in nodes if n.symbol == sc.lam_sym), key=node_key)
+        return [n for n in nodes if n.symbol == sc.lam_sym]
 
     def _reflect_equalities(self) -> None:
         """In any context where an equality node is proven true, merge its
@@ -498,13 +522,13 @@ class Engine:
             eg.rebuild()
             self.apply_scopes()
             for rule in self.rules:
+                plan = self._plans[rule.name]
                 for ctx in self._admissible_contexts(rule.scope):
                     key = (rule.name, ctx)
                     matches = self.ematch(ctx, rule.lhs, since=self._matched_at.get(key))
                     self._matched_at[key] = eg.version_at(ctx)
                     for subst, root in matches:
-                        rhs_cls = self._instantiate(rule.rhs, subst)
-                        eg.merge(ctx, root, rhs_cls)
+                        eg.merge(ctx, root, self._build(plan, subst))
                         report.rule_applications += 1
             eg.rebuild()
             self.apply_intersections()
@@ -539,40 +563,18 @@ def _compile(pattern: Pattern):
     return atoms, consts, sorted(slots.items()), len(slots) + len(atoms)
 
 
-def _join(db, atoms: list, consts, bound: list, start: int, seeds) -> list[list]:
-    """Slot bindings extending bound (the constants' classes) whose row for
-    atom `start` is in seeds; each next atom is reached through its class
-    or as a parent, and a constant's parent row must hold its class."""
-    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, bound))]
-    done, frontier = {start, *consts}, [start]
-    while frontier and partial:
-        _, args, out = atoms[frontier.pop()]
-        for j, atom in enumerate(atoms):
-            sym, args_j, out_j = atom
-            if j in done or (out_j not in args and out not in args_j):
-                continue
-            done.add(j)
-            frontier.append(j)
-            if out_j in args:
-                partial = [
-                    b2 for b in partial for n in db.nodes_of(b[out_j])
-                    if n.symbol == sym and (b2 := _bind(atom, n, b[out_j], b))
-                ]
-            else:
-                pos = args_j.index(out)
-                partial = [
-                    b2 for b in partial for n, c in db._parents(sym, pos, b[out])
-                    if (b2 := _bind(atom, n, c, b))
-                ]
-    return partial
+def _compile_rhs(pattern: Pattern) -> tuple[list, str | int]:
+    """A right-hand side's steps (symbol, args), in post-order with children
+    left to right, the order a recursive instantiation adds them in; an arg
+    is a variable name or the index of an earlier step. Also the key of its
+    class: a variable name, or the index of the last step."""
+    steps: list = []
 
+    def visit(p: Pattern) -> str | int:
+        if isinstance(p, PatternVar):
+            return p.name
+        args = tuple(visit(a) for a in p.args)
+        steps.append((p.symbol, args))
+        return len(steps) - 1
 
-def _bind(atom, node: ENode, cls: ClassId, b: list) -> list | None:
-    """b extended by the row (node, cls) for atom, or None on a clash."""
-    b = b.copy()
-    for slot, value in zip((*atom[1], atom[2]), (*node.children, cls)):
-        if b[slot] is None:
-            b[slot] = value
-        elif b[slot] != value:
-            return None
-    return b
+    return steps, visit(pattern)

@@ -20,26 +20,32 @@ created since). Bottom's first view is patched from an empty one; any other
 context's first view is a copy of its cover's current view (of the bottom
 view if it has several covers) patched from the whole log of the context's
 layer. The links the context copied from its cover at declaration lost no
-class of that view, so only the context's own merges move rows. A lost
-root's rows move into its class now, new ids add their nodes' rows, and only
-those classes and the classes with a row over a lost root (`_uses`: child
-class -> parent classes) are re-canonicalized. `_sig` keeps one class per
-row, and `clashes` lists pairs of live classes holding a common row, the
-predecessor's still apart included: any two classes that share a row are
-joined through them, so merging them restores congruence. The patch state
-(`_sig`, `_uses` and the row log) is shared along a context's chain of
-views, not copied: a superseded view's classes stay readable, but only the
-newest view is patched and answers the join's lookups.
+class of that view, so only the context's own merges move rows. Only rows
+that can change are re-canonicalized: a lost root's rows, which move into
+its class now, new ids' rows, and the rows over a lost root of the classes
+using it (`_uses`: child class -> parent classes); every other row keeps
+its entries. `_sig` maps a row to a class holding it (a kept row whose
+entry left with a moved copy gets it back), and `clashes` lists pairs of
+live classes holding a common row, the predecessor's still apart included:
+any two classes that share a row are joined through them, so merging them
+restores congruence; with no clash, `_sig[row]` is the one class holding
+row. The patch state (`_sig`, `_uses`, the row log and its dead counts) is
+shared along a context's chain of views, not copied: a superseded view's
+classes stay readable, but only the newest view is patched and answers the
+join's lookups.
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node,
 class)`, at the new view's version; a first view starts from the live
-entries of the log of the view it copies. Versions rise along the log, so
-`_rows(symbol, since)` walks it back to since and keeps the rows the view
-still holds: the delta semi-naive matching joins from (see the rewrite
-module), and with since = -1 every row of the symbol, which a first join
-starts from. `_parents` reads the rows over a child class from the classes
-in `_uses`. The patch's own state is thus the join's only index.
+entries of the log of the view it copies. An entry dies when its row leaves
+its class; a patch counts those per symbol (`_dead`) and drops a symbol's
+dead entries, keeping the order, once they outnumber its live ones.
+Versions rise along the log, so `_rows(symbol, since)` walks it back to
+since and keeps the rows the view still holds: the delta semi-naive
+matching joins from (see the rewrite module), and with since = -1 every row
+of the symbol, which a first join starts from. `_parents` reads the rows
+over a child class from the classes in `_uses`. The patch's own state is
+thus the only index of `_join`, the join that `Engine.ematch` runs here.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .egraph import ClassId, EGraph, ENode, FunctionSymbol, node_key
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
 
 
@@ -65,10 +71,12 @@ class CanonicalView:
     # patch state of a cached view (see the module docstring): row -> class,
     # child class -> tuple of parent classes (ints only, which the cyclic
     # garbage collector does not track), symbol -> row log of (version,
-    # node, class) entries, and the change-log lengths read
+    # node, class) entries, symbol -> dead entries in its log, and the
+    # change-log lengths read
     _sig: dict = field(default_factory=dict, compare=False, repr=False)
     _uses: dict = field(default_factory=dict, compare=False, repr=False)
     _log: dict = field(default_factory=dict, compare=False, repr=False)
+    _dead: dict = field(default_factory=dict, compare=False, repr=False)
     _marks: tuple = field(default=(0, 0, 0), compare=False, repr=False)
 
     def class_ids(self) -> list[ClassId]:
@@ -88,6 +96,11 @@ class CanonicalView:
             if node in self.classes.get(c, ()):
                 out.append((node, c))
         return out
+
+    def _newest(self, symbol: FunctionSymbol) -> int:
+        """The version of symbol's last log entry, or -1."""
+        entries = self._log.get(symbol)
+        return entries[-1][0] if entries else -1
 
     def _parents(self, symbol: FunctionSymbol, pos: int, child: ClassId) -> list:
         """Rows (node, class) of symbol whose child at pos is child."""
@@ -110,7 +123,7 @@ def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     grouped: dict[ClassId, set[ENode]] = defaultdict(set)
     for node, c in eg.nodes().items():
         grouped[rep[c]].add(eg.canonical_node(ctx, node))
-    classes = {c: tuple(sorted(ns, key=node_key)) for c, ns in grouped.items()}
+    classes = {c: tuple(sorted(ns)) for c, ns in grouped.items()}
     return CanonicalView(ctx, classes, eg.version_at(ctx))
 
 
@@ -130,49 +143,81 @@ def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
 
 def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
     """The current view of prev's context, patched from prev and the change
-    log since it; takes over prev's sig, uses and row log."""
-    ctx, find = prev.context, eg.uf._find
-    sig, uses, log = prev._sig, prev._uses, prev._log
+    log since it; takes over prev's sig, uses, row log and dead counts."""
+    ctx, find, canon = prev.context, eg.uf._find, eg.canonical_node
+    sig, uses, log, dead = prev._sig, prev._uses, prev._log, prev._dead
     n_bot, n_ctx, n_ids = prev._marks
-    # at bottom the two logs are one; a root met twice is skipped
-    lost = eg.uf.lost[BOTTOM][n_bot:] + eg.uf.lost[ctx][n_ctx:]
+    # at bottom the two logs are one
+    lost = eg.uf.lost[BOTTOM][n_bot:] + (eg.uf.lost[ctx][n_ctx:] if ctx != BOTTOM else [])
     classes = prev.classes.copy()
-    # dirty class -> rows to add to it; into: lost class -> its class now
+    # dirty class -> rows to (re-)add to it; into: lost class -> its class
+    # now; over: the classes with a row over a lost root; left: rows that
+    # left a class, whose log entries are now dead
     dirty: dict[ClassId, list[ENode]] = {}
     into: dict[ClassId, ClassId] = {}
+    over: set[ClassId] = set()
+    left: list[ENode] = []
     for x in lost:
         rows = classes.pop(x, None)
         if rows is None:
             continue
         into[x] = t = find(ctx, x)
         dirty.setdefault(t, []).extend(rows)
-        for p in uses.pop(x, ()):
-            dirty.setdefault(find(ctx, p), [])
+        left += rows
+        over.update(uses.pop(x, ()))
     for i in range(n_ids, len(eg.uf)):
-        dirty.setdefault(find(ctx, i), []).append(eg.created[i])
-    # drop the rows of dirty classes from sig before re-adding any, so that
-    # a row they still hold and a clean class holds too is reported
-    for t, added in dirty.items():
-        for row in (*classes.get(t, ()), *added):
+        dirty.setdefault(find(ctx, i), []).append(canon(ctx, eg.created[i]))
+    over = {find(ctx, p) for p in over}
+    # a class keeps its rows over no lost root as they are
+    lost_roots = into.keys()
+    work = []
+    for t in (*dirty, *over.difference(dirty)):
+        redo, keep = dirty.get(t, []), classes.get(t, ())
+        if t in over:
+            stale = [n for n in keep if not lost_roots.isdisjoint(n.children)]
+            if stale:
+                keep = [n for n in keep if lost_roots.isdisjoint(n.children)]
+                redo += stale
+                left += stale
+        if redo:
+            work.append((t, keep, redo))
+    # drop the sig entries of the rows to re-add before re-adding any, so
+    # that a row they still hold and a clean class holds too is reported;
+    # a kept row whose entry went with a moved copy points at its class
+    dropped = set()
+    for t, _, redo in work:
+        for row in redo:
             other = sig.get(row)
             if other == t or into.get(other) == t:
                 del sig[row]
+                dropped.add(row)
+    if dropped:
+        for t, keep, _ in work:
+            for row in dropped.intersection(keep):
+                sig.setdefault(row, t)
     view = CanonicalView(
-        ctx, classes, eg.version_at(ctx), _sig=sig, _uses=uses, _log=log,
+        ctx, classes, eg.version_at(ctx), _sig=sig, _uses=uses, _log=log, _dead=dead,
         _marks=(len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)),
     )
+    # a clash is between classes of prev, so a lost one's class is in into
     for a, b in prev.clashes:
-        if find(ctx, a) != find(ctx, b):
-            view.clashes.append((find(ctx, a), find(ctx, b)))
-    for t, added in dirty.items():
-        old = classes.get(t, ())
-        rows = {eg.canonical_node(ctx, n) for n in (*old, *added)}
-        classes[t] = nodes = tuple(sorted(rows, key=node_key))
-        _add_rows(view, t, nodes)
-        held = set(old)
-        for n in nodes:
-            if n not in held:
-                log.setdefault(n.symbol, []).append((view.version, n, t))
+        a, b = into.get(a, a), into.get(b, b)
+        if a != b:
+            view.clashes.append((a, b))
+    for t, keep, redo in work:
+        fresh = {n if lost_roots.isdisjoint(n.children) else canon(ctx, n) for n in redo}
+        new = sorted(fresh.difference(keep))
+        classes[t] = tuple(sorted([*keep, *new]) if new else keep)
+        _add_rows(view, t, new)
+        for n in new:
+            log.setdefault(n.symbol, []).append((view.version, n, t))
+    # a symbol's log drops its dead entries once they outnumber the live ones
+    for n in left:
+        dead[n.symbol] = dead.get(n.symbol, 0) + 1
+    for sym in {n.symbol for n in left}:
+        if 2 * dead[sym] > len(entries := log[sym]):
+            entries[:] = [e for e in entries if e[1] in classes.get(e[2], ())]
+            dead[sym] = 0
     return view
 
 
@@ -202,18 +247,20 @@ class ViewCache:
         else a copy of its one cover's current view (of bottom's if it has
         several) with ctx's whole layer log still to read; the links it
         copied from the cover pop no class of that view. Only live row log
-        entries are copied: a row dead below ctx stays dead at ctx."""
+        entries are copied (a row dead below ctx stays dead at ctx), so a
+        log with no dead entry is copied whole."""
         if ctx == BOTTOM:
             return CanonicalView(BOTTOM, {}, 0)
         covers = eg.lattice.covers(ctx)
         base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
         log = {
             sym: [e for e in rows if e[1] in base.classes.get(e[2], ())]
+            if base._dead.get(sym) else rows.copy()
             for sym, rows in base._log.items()
         }
         return replace(
             base, context=ctx, _sig=base._sig.copy(), _uses=base._uses.copy(),
-            _log=log, _marks=(base._marks[0], 0, base._marks[2]),
+            _log=log, _dead={}, _marks=(base._marks[0], 0, base._marks[2]),
         )
 
 
@@ -242,6 +289,45 @@ class OnTheFlyProvider:
     def nodes_of(self, c: ClassId) -> tuple[ENode, ...]:
         got = self._memo.get(c)
         if got is None:
-            got = tuple(sorted(self.eg.class_nodes(self.ctx, c), key=node_key))
+            got = tuple(sorted(self.eg.class_nodes(self.ctx, c)))
             self._memo[c] = got
         return got
+
+
+def _join(db, atoms: list, consts, bound: list, start: int, seeds) -> list[list]:
+    """Slot bindings extending bound (the constants' classes) whose row for
+    atom `start` is in seeds; each next atom is reached through its class
+    or as a parent, and a constant's parent row must hold its class."""
+    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, bound))]
+    done, frontier = {start, *consts}, [start]
+    while frontier and partial:
+        _, args, out = atoms[frontier.pop()]
+        for j, atom in enumerate(atoms):
+            sym, args_j, out_j = atom
+            if j in done or (out_j not in args and out not in args_j):
+                continue
+            done.add(j)
+            frontier.append(j)
+            if out_j in args:
+                partial = [
+                    b2 for b in partial for n in db.nodes_of(b[out_j])
+                    if n.symbol == sym and (b2 := _bind(atom, n, b[out_j], b))
+                ]
+            else:
+                pos = args_j.index(out)
+                partial = [
+                    b2 for b in partial for n, c in db._parents(sym, pos, b[out])
+                    if (b2 := _bind(atom, n, c, b))
+                ]
+    return partial
+
+
+def _bind(atom, node: ENode, cls: ClassId, b: list) -> list | None:
+    """b extended by the row (node, cls) for atom, or None on a clash."""
+    b = b.copy()
+    for slot, value in zip((*atom[1], atom[2]), (*node.children, cls)):
+        if b[slot] is None:
+            b[slot] = value
+        elif b[slot] != value:
+            return None
+    return b

@@ -84,15 +84,19 @@ class NaiveLayered:
                 out[i] = block
         return out
 
-    def intersect_into(self, lo: int, c1: int, c2: int) -> None:
+    def intersect_into(self, lo: int, c1: int, c2: int) -> int:
+        """Group every id on its pair of blocks at c1 and c2 and join each
+        group at lo; returns the number of lo blocks it joined away."""
         b1 = self.block_of(c1)
         b2 = self.block_of(c2)
+        before = len(self.partition(lo))
         groups = defaultdict(list)
         for i in range(self.n):
             groups[(b1[i], b2[i])].append(i)
         for g in groups.values():
             for other in g[1:]:
                 self.edges[lo].add((g[0], other))
+        return before - len(self.partition(lo))
 
 
 def brute_glb(lattice: ContextLattice, a: int, b: int):
@@ -161,7 +165,9 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     an earlier view of the same context, or None, which reads as -1 and no
     rows), and `_rows(sym, -1)` every row of sym the view holds, which a
     first join reads. `_parents(sym, pos, child)` must list the rows whose
-    child at pos is child.
+    child at pos is child. When the view reports no clashes, `_sig[row]`
+    must be the class holding each row, which a join whose root row is
+    fully bound probes instead of scanning.
     """
 
     def rows(v):
@@ -183,6 +189,10 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
         got = view._parents(sym, pos, child)
         if len(got) != len(set(got)) or set(got) != want:
             return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
+    if not view.clashes:
+        for n, c in held:
+            if view._sig.get(n) != c:
+                return f"_sig[{n}] is not {c} at context {view.context}"
     return None
 
 

@@ -178,6 +178,16 @@ def test_cli_parse_error_exit_code(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def test_cli_program_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.ctx"
+    bad.write_bytes(b"(function a 0)\n(term a)\xff\n")
+    for args in (["run"], ["stats", "--context", "bot"], ["compare-assume"]):
+        res = cli(args[0], str(bad), *args[1:])
+        assert res.returncode == 2, args
+        assert res.stderr.startswith(f"error: {bad}: not UTF-8 text ("), args
+        assert "Traceback" not in res.stderr
+
+
 def test_cli_negative_function_arity_exits_2(tmp_path):
     bad = tmp_path / "bad.ctx"
     bad.write_text("(function f -1)\n")

@@ -234,6 +234,43 @@ def test_order_preservation_and_quotient_properties():
                     assert frozenset().union(*covered) == block
 
 
+def test_intersection_on_nested_branches_agrees_with_grouping_every_id():
+    """Proof by cases groups only the overlay keys its branches added, not
+    lo's own. On nested branch pairs (two contexts covering one context,
+    itself possibly a branch) every relation and every count of new merges
+    agrees with the reference, which groups every id."""
+    dropped = 0
+    for seed in range(250):
+        rng = random.Random(seed + 61000)
+        lat = ContextLattice()
+        uf, ref = LayeredUnionFind(lat), NaiveLayered(lat)
+        for _ in range(rng.randint(4, 12)):
+            uf.make_set()
+            ref.make_set()
+        branches = []
+        for _ in range(30):
+            op = rng.random()
+            if op < 0.2 and len(lat) < 9:
+                g = rng.randrange(len(lat))
+                pair = [lat.declare_context(f"c{len(lat)}", {g}) for _ in range(2)]
+                for c in pair:
+                    uf.register_context(c)
+                branches.append((g, *pair))
+            elif op < 0.7 or not branches:
+                ctx, a, b = rng.randrange(len(lat)), rng.randrange(ref.n), rng.randrange(ref.n)
+                uf.union_new(ctx, a, b)
+                ref.union(ctx, a, b)
+            else:
+                lo, c1, c2 = rng.choice(branches)
+                if lo != BOTTOM:
+                    own = uf._overlay[lo].keys()
+                    dropped += bool(own & (uf._overlay[c1].keys() | uf._overlay[c2].keys()))
+                assert uf.intersect_into(lo, c1, c2) == ref.intersect_into(lo, c1, c2)
+                for c in lat.ids():
+                    assert uf.partition(c) == ref.partition(c), f"seed={seed} ctx={c}"
+    assert dropped >= 100
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_random_scripts_hypothesis(seed):

@@ -254,6 +254,39 @@ def test_ematch_binds_constants_as_brute_force_does():
     assert found > 1000
 
 
+ALL_CONSTANT_ROOTS = [
+    "k0", "(p k0 k0)", "(p k0 k1)", "(p k1 k0)", "(q k1)", "(q k0)",
+    "(p k1 z)", "(q z)",  # a constant that is not stored
+]
+
+
+def test_ematch_probes_a_root_bound_by_constants_as_brute_force_does():
+    """A root whose arguments are all constants has one possible row, which
+    a full join looks up in the view's sig instead of scanning the root
+    symbol's rows, but only while the view reports no clash: merges not yet
+    rebuilt can leave one row in two classes, and both are matches."""
+    seen = {"clean": 0, "clashed": 0, "held twice": 0}
+    for seed in range(40):
+        eg = constant_graph(seed + 23000)
+        eng = Engine(eg)
+        rng = random.Random(seed)
+        pats = [_term_to_pattern(eng, parse_term(t)) for t in ALL_CONSTANT_ROOTS]
+        for step in range(3):
+            for ctx in eg.lattice.ids():
+                clashed = bool(eg.views.get(ctx).clashes)
+                for pat in pats:
+                    expected = brute_force_matches(eng, ctx, pat)
+                    for strategy in Strategy:
+                        got = match_set(eng, ctx, pat, strategy)
+                        assert got == expected, f"seed={seed} step={step} {pat} {strategy}"
+                    seen["clashed" if clashed else "clean"] += 1
+                    seen["held twice"] += len(expected) > 1
+            n = len(eg.uf)
+            for _ in range(3):
+                eg.merge(rng.randrange(len(eg.lattice)), rng.randrange(n), rng.randrange(n))
+    assert min(seen.values()) >= 20, seen
+
+
 def test_since_returns_every_match_through_a_constant_whose_class_moved():
     """p's rows do not change when the constant b joins a's class: only b's
     own row is new, and every match runs through it."""

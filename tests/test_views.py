@@ -1,5 +1,7 @@
 import random
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 from ctxsat import (
     BOTTOM,
@@ -11,8 +13,11 @@ from ctxsat import (
     term,
 )
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxsat.egraph import node_key
+from ctxsat.dsl import run_source
+from ctxsat.egraph import ENode, FunctionSymbol, node_key
 from ctxsat.views import OnTheFlyProvider
 
 from oracles import naive_contextual_congruence, view_index_mismatch
@@ -297,3 +302,57 @@ def test_a_seeded_log_holds_the_live_entries_of_its_sources_log():
             assert seed_view._log == want, f"seed={seed} ctx={ctx}"
             assert seed_view.classes == view.classes, f"seed={seed} ctx={ctx}"
     assert dead["cover"] > 0 and dead["bottom"] > 0
+
+
+def test_a_kept_row_whose_sig_entry_left_with_a_moved_copy_still_clashes():
+    """In random_egraph(9101) a patch re-canonicalizes f0(3) to f0(0) in
+    class 5 while class 0 keeps its own f0(0) as it is; a moved copy of
+    f0(0) took the row's sig entry with it. Unless class 0 gets that entry
+    back before rows are re-added, f0(0) is re-added for class 5 alone and
+    the two classes are never reported to clash."""
+    eg, merges, node_list = random_egraph(9101)
+    eg.rebuild()
+    oracle = naive_contextual_congruence(eg.lattice, node_list, len(eg.uf), merges)
+    for ctx in eg.lattice.ids():
+        assert eg.uf.partition(ctx) == oracle[ctx], f"ctx={ctx}"
+    assert eg.find(BOTTOM, 5) == eg.find(BOTTOM, 0)
+
+
+enodes = st.tuples(st.sampled_from(["f", "g", "f0", "F", ""]), st.integers(0, 3)).flatmap(
+    lambda s: st.lists(st.integers(0, 40), min_size=s[1], max_size=s[1]).map(
+        lambda children: ENode(FunctionSymbol(*s), tuple(children))
+    )
+)
+
+
+@given(st.lists(enodes, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_nodes_sort_as_node_key_orders_them(rows):
+    """Views sort rows without a key: an ENode compares by (name, arity),
+    then children, the order node_key gives, also between symbols of one
+    name and different arities."""
+    assert sorted(rows) == sorted(rows, key=node_key)
+
+
+def test_row_logs_hold_at_most_twice_their_live_entries():
+    """A patch counts the log entries of the rows that leave a class, and a
+    symbol's log drops its dead entries once they outnumber its live ones.
+    After ac-n5-j1, the benchmark's largest ac program, whose logs held 5,731
+    entries for 2,588 live ones before logs were compacted."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    (op,) = [op for op in workloads.prepare_ac(1).rounds.all_ops() if op.label == "ac-n5-j1"]
+    eg = run_source(op.source).engine.eg
+    total = 0
+    for ctx in eg.lattice.ids():
+        view = eg.views.get(ctx)
+        live = live_log(view)
+        for sym, entries in view._log.items():
+            assert len(entries) <= 2 * len(live[sym]), f"ctx={ctx} {sym}"
+            # the patch's count of dead entries is exact
+            assert view._dead.get(sym, 0) == len(entries) - len(live[sym])
+            total += len(entries)
+    assert total < 3000
