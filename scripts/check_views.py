@@ -2,9 +2,12 @@
 """Check every cached view that the fingerprint programs make.
 
 Runs `fingerprint.programs()` (the shipped corpora and the benchmark's seed-1
-`scopes` and `ac` programs) with `ViewCache.get` wrapped from outside. Each
-time a get returns a view it has not returned before for that cache and
-context, four things must hold:
+`scopes` and `ac` programs) with `ViewCache.get` wrapped from outside. Every
+view a get returns must be current: its `_marks` equal the change log's
+positions for its context (the lengths of the bottom and context lost logs,
+and the id count), which is what the cache reuses a view by. Each time a
+get returns a view it has not returned before for that cache and context,
+four things must hold too:
 
 - its classes equal those of a fresh `build_view`;
 - `_rows(symbol, since)`, with since the version of the context's previous
@@ -28,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(Path(__file__).parent)]
 
 from ctxsat.dsl import run_source  # noqa: E402
+from ctxsat.lattice import BOTTOM  # noqa: E402
 from ctxsat.views import ViewCache, build_view  # noqa: E402
 
 from fingerprint import programs  # noqa: E402
@@ -35,7 +39,8 @@ from oracles import view_index_mismatch  # noqa: E402
 
 
 class ViewChecker:
-    """Checks each view a wrapped `ViewCache.get` returns for the first time."""
+    """Checks each view a wrapped `ViewCache.get` returns: its marks every
+    time, the rest the first time."""
 
     def __init__(self):
         self.checked = 0
@@ -45,10 +50,13 @@ class ViewChecker:
     def wrap(self, get):
         def checked_get(cache, ctx):
             view = get(cache, ctx)
+            eg = cache._eg()
+            lost = eg.uf.lost
+            if view._marks != (len(lost[BOTTOM]), len(lost[ctx]), len(eg.uf)):
+                raise AssertionError(f"a view at context {ctx} behind the change log")
             last = self._last.setdefault(cache, {})
             prev = last.get(ctx)
             if view is not prev:
-                eg = cache._eg()
                 if view.classes != build_view(eg, ctx).classes:
                     raise AssertionError(f"classes at context {ctx} differ from build_view")
                 got = view_index_mismatch(view, prev, eg.symbols())

@@ -7,28 +7,26 @@ preservation, every context above it).
 
 rebuild() restores congruence separately in every context: after it returns,
 any two stored nodes with the same symbol and children equal at context c
-belong to classes equal at c. Change versions: every effective mutation bumps
-the global `version` and stamps it on each context whose relation it can
-change, the upset of the context it acts at (a merge, an intersection or a
-congruence repair acts at its own context, add_node at bottom,
-declare_context at the new context). `version_at(c)` is therefore the version
-of the last change visible at c. rebuild repairs exactly the contexts stamped
-since it last finished, bottom-up, so base repairs feed contextual ones;
-cached views compare the same stamp. Congruence unions discovered at c are
-recorded at c, the lowest context that justifies them.
+belong to classes equal at c. Congruence unions discovered at c are recorded
+at c, the lowest context that justifies them.
 
 Change log and repair: the union-find logs every root a layer loses
 (LayeredUnionFind.lost), and add_node records the node each new id was
-created for (`created`). The e-graph owns one ViewCache, `views`, which
-patches each context's cached view from that log and reports the view's
-clashes: two live classes that hold the same canonical row, which
-congruence must merge. A repair, at bottom as at every other context,
-unions the clashes of the context's view until the patched view reports
-none, so its cost follows what changed. The bottom view is the class index
-(`classes`): bottom root -> its bottom-canonical nodes. Once bottom is
-repaired, the node store that add_node hash-conses against is re-keyed from
-the rows of that view. The cache holds the e-graph weakly, so the two form
-no reference cycle and reference counting frees them.
+created for (`created`). That log is the e-graph's one record of change: the
+roots c lost since some moment are the new entries of the bottom log and of
+c's, and c's new rows are those of the ids made since. `version` counts the
+ids made, the unions that merged and the contexts declared, so it moves with
+every change, a union made through `uf` directly included; semi-naive
+matching reads it as its clock. The e-graph owns one ViewCache, `views`,
+which patches each context's cached view from that log and reports the
+view's clashes: two live classes that hold the same canonical row, which
+congruence must merge. A repair, at bottom as at every other context, unions
+the clashes of the context's view until the patched view reports none, so
+its cost follows what changed. The bottom view is the class index
+(`classes`): bottom root -> its bottom-canonical nodes. The node store that
+add_node hash-conses against is re-keyed from the rows of each new bottom
+view a repair leaves. The cache holds the e-graph weakly, so the two form no
+reference cycle and reference counting frees them.
 
 FunctionSymbol and ENode are named tuples, hashed and compared in C (an
 ENode equals a plain tuple with the same fields). Ids are checked once, at
@@ -102,11 +100,10 @@ class EGraph:
         self._arities: dict[str, set[int]] = {}
         # node -> class holding it; keys use bottom-canonical children
         self._nodes: dict[ENode, ClassId] = {}
-        # bumped on every effective mutation; per context, the last bump
-        # visible there (see module docstring)
-        self.version = 0
-        self._version_at: dict[ContextId, int] = {}
+        # the version the last rebuild finished at, and the bottom view
+        # _nodes was last keyed from
         self._rebuilt_at = 0
+        self._keyed = None
         # id -> the node it was created for, as add_node saw it
         self.created: list[ENode] = []
         from .views import ViewCache  # views imports this module
@@ -145,8 +142,6 @@ class EGraph:
     def declare_context(self, name: str, covers: set[ContextId]) -> ContextId:
         cid = self.lattice.declare_context(name, covers)
         self.uf.register_context(cid)
-        # the covers' relations join without congruence between them
-        self._mutated(cid)
         return cid
 
     def context(self, name: str) -> ContextId:
@@ -183,8 +178,6 @@ class EGraph:
         cls = self.uf.make_set()
         self.created.append(node)
         self._nodes[node] = cls
-        # a new node can collide with old ones under contextual equalities
-        self._mutated(BOTTOM)
         return cls
 
     def intern(self, t: Term) -> ClassId:
@@ -207,66 +200,51 @@ class EGraph:
 
     def merge(self, ctx: ContextId, a: ClassId, b: ClassId) -> ClassId:
         """Union two classes at ctx (visible at every context above)."""
-        if self.uf.union_new(ctx, a, b):
-            self._mutated(ctx)
+        self.uf.union_new(ctx, a, b)
         return self.uf._find(ctx, a)
 
     def equiv(self, ctx: ContextId, a: ClassId, b: ClassId) -> bool:
         return self.uf.equiv(ctx, a, b)
 
-    def intersect_into(self, lo: ContextId, c1: ContextId, c2: ContextId) -> int:
-        """Promote equalities shared by c1 and c2 down to lo."""
-        n = self.uf.intersect_into(lo, c1, c2)
-        if n:
-            self._mutated(lo)
-        return n
-
-    # change versions
-
-    def version_at(self, ctx: ContextId) -> int:
-        """The version of the last mutation that can have changed ctx."""
-        return self._version_at.get(ctx, 0)
-
-    def _mutated(self, ctx: ContextId) -> None:
-        self.version += 1
-        for c in self.lattice.upset(ctx):
-            self._version_at[c] = self.version
+    @property
+    def version(self) -> int:
+        """Moves with every change: the ids made, the unions that merged and
+        the contexts declared."""
+        return self.uf.changes + len(self.lattice)
 
     # congruence maintenance
 
     def rebuild(self) -> int:
         """Restore per-context congruence; returns the number of repairs.
 
-        Repairs every context stamped since the last rebuild in one bottom-up
-        sweep, which reaches the fixpoint: only the bottom repair changes the
-        bottom relation, a repair at ctx writes unions only into the upset of
-        ctx, and topo_order puts that upset after ctx. The stamped contexts
-        are upward closed, since a mutation stamps its whole upset; any other
-        context is unchanged since the last rebuild left it congruent.
+        Repairs every context in one bottom-up sweep, which reaches the
+        fixpoint: only the bottom repair changes the bottom relation, a
+        repair at ctx writes unions only into the upset of ctx, and
+        topo_order puts that upset after ctx. A context whose cached view is
+        current and reports no clash costs one comparison of log positions;
+        nothing at all is done while the version has not moved since the
+        last rebuild.
         """
-        since = self._rebuilt_at
-        if self.version == since:
+        if self.version == self._rebuilt_at:
             return 0
-        repairs = sum(
-            self._repair(ctx)
-            for ctx in self.lattice.topo_order()
-            if self.version_at(ctx) > since
-        )
+        repairs = sum(map(self._repair, self.lattice.topo_order()))
         self._rebuilt_at = self.version
         return repairs
 
     def _repair(self, ctx: ContextId) -> int:
         """Congruence closure at ctx: merge the clashes of ctx's patched view
         (classes whose nodes canonicalize alike) until it reports none. At
-        bottom, then re-key the node store by the repaired view's rows."""
+        bottom, then re-key the node store by the repaired view's rows,
+        unless it was keyed from that view already (reads between rebuilds
+        patch the bottom view too, so the test is against the keyed view)."""
         repairs = 0
         while (view := self.views.get(ctx)).clashes:
             for a, b in view.clashes:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
-            self._mutated(ctx)
-        if ctx == BOTTOM:
+        if ctx == BOTTOM and view is not self._keyed:
             self._nodes = {row: c for c, rows in view.classes.items() for row in rows}
+            self._keyed = view
         return repairs
 
     # views

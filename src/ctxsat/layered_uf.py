@@ -25,6 +25,8 @@ in ctx's layer (the base forest for bottom, the overlay otherwise). A root at
 ctx stops being one through a base union or a link in ctx's overlay, so the
 roots ctx lost since some moment are the new entries of `lost[BOTTOM]` and
 `lost[ctx]`; cached views patch themselves from them (see the views module).
+`changes` counts the ids made and the unions that merged, so it moves with
+every change to some relation (the e-graph's `version` reads it).
 
 Single-writer; partitions are returned as frozen sets safe to share.
 """
@@ -48,6 +50,7 @@ class LayeredUnionFind:
         self.unions_at: dict[ContextId, int] = defaultdict(int)
         # per layer, the roots it lost, in order (see the module docstring)
         self.lost: dict[ContextId, list[int]] = defaultdict(list)
+        self.changes = 0
         for c in lattice.ids():
             if c != BOTTOM:
                 self.register_context(c)
@@ -71,6 +74,7 @@ class LayeredUnionFind:
     def make_set(self) -> NodeId:
         i = len(self._parent)
         self._parent.append(i)
+        self.changes += 1
         return i
 
     def find(self, ctx: ContextId, x: NodeId) -> NodeId:
@@ -173,6 +177,7 @@ class LayeredUnionFind:
                 merged |= self._link_in_layer(u, a, b)
         if merged:
             self.unions_at[ctx] += 1
+            self.changes += 1
         return merged
 
     def _base_find(self, x: int) -> int:

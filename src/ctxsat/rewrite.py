@@ -186,7 +186,7 @@ class Engine:
         self.roots: list[ClassId] = []
         self._cond_instances: list[_CondInstance] = []
         self._lambda_instances: list[_LambdaInstance] = []
-        # (rule name, ctx) -> version_at(ctx) when the rule last matched there
+        # (rule name, ctx) -> eg.version when the rule last matched there
         self._matched_at: dict[tuple[str, ContextId], int] = {}
         # id(rule.lhs) -> (rule.lhs, its compiled query), and rule name ->
         # its compiled right-hand side, set by add_rule
@@ -249,10 +249,10 @@ class Engine:
         the ctx-canonical database, deduplicated under find(ctx).
 
         The database is the cached view of ctx; Strategy.ON_THE_FLY reads the
-        reference provider instead, so tests can compare the two. `since`, a
-        version_at(ctx) read after an earlier call, keeps only matches using
-        a row logged after it (a bare variable, and the reference, which
-        keeps no log, match in full)."""
+        reference provider instead, so tests can compare the two. `since`, an
+        `eg.version` read after an earlier call, keeps only matches using a
+        row logged after it (a bare variable, and the reference, which keeps
+        no log, match in full)."""
         eg = self.eg
         eg.lattice.check(ctx)
         if strategy is Strategy.ON_THE_FLY:
@@ -301,9 +301,6 @@ class Engine:
             return []
         results = {(b[0], tuple((name, b[slot]) for name, slot in names)) for b in found}
         return [(dict(items), root) for root, items in sorted(results)]
-
-    def _instantiate(self, pat: Pattern, subst: dict[str, ClassId]) -> ClassId:
-        return self._build(_compile_rhs(pat), subst)
 
     def _build(self, plan: tuple, subst: dict[str, ClassId]) -> ClassId:
         """Add a compiled right-hand side over subst; returns its class."""
@@ -476,7 +473,7 @@ class Engine:
         total, lost = 0, self.eg.uf.lost
         for inst in sorted(self._cond_instances, key=lambda i: -i.gamma):
             if inst.marks(lost) != inst.seen:
-                total += self.eg.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
+                total += self.eg.uf.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
                 inst.seen = inst.marks(lost)
         return total
 
@@ -526,7 +523,7 @@ class Engine:
                 for ctx in self._admissible_contexts(rule.scope):
                     key = (rule.name, ctx)
                     matches = self.ematch(ctx, rule.lhs, since=self._matched_at.get(key))
-                    self._matched_at[key] = eg.version_at(ctx)
+                    self._matched_at[key] = eg.version
                     for subst, root in matches:
                         eg.merge(ctx, root, self._build(plan, subst))
                         report.rule_applications += 1

@@ -6,13 +6,15 @@ coarser contexts are never larger than views of finer ones.
 
 E-matching, lambda lifting and congruence repair read the cached view of a
 context, and the bottom view is the e-graph's class index. The e-graph owns
-the one cache (`EGraph.views`), which replaces a view only after a mutation
-that can change its context (its change version moved; see the egraph
-module), so a merge in one branch keeps the views of its siblings.
-`OnTheFlyProvider` canonicalizes per query instead; it is the reference
-implementation that tests compare the cached view against, and no engine
-path uses it. Extraction builds a fresh view with `build_view`, which tests
-also take as the reference; stats and read-only queries scan the node store.
+the one cache (`EGraph.views`), which replaces a view only once the change
+log that can change its context has moved (the roots lost at bottom and at
+the context, and the ids made; see the egraph module), so a merge in one
+branch keeps the views of its siblings, and a change made through the
+union-find directly is seen like any other. `OnTheFlyProvider` canonicalizes
+per query instead; it is the reference implementation that tests compare the
+cached view against, and no engine path uses it. Extraction builds a fresh
+view with `build_view`, which tests also take as the reference; stats and
+read-only queries scan the node store.
 
 Patching: every cached view is patched from its predecessor and the change
 log (the roots lost at bottom and at the context, the nodes of the ids
@@ -35,17 +37,18 @@ classes stay readable, but only the newest view is patched and answers the
 join's lookups.
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
-every row it adds to a class to its symbol's log as `(version, node,
-class)`, at the new view's version; a first view starts from the live
-entries of the log of the view it copies. An entry dies when its row leaves
-its class; a patch counts those per symbol (`_dead`) and drops a symbol's
-dead entries, keeping the order, once they outnumber its live ones.
-Versions rise along the log, so `_rows(symbol, since)` walks it back to
-since and keeps the rows the view still holds: the delta semi-naive
-matching joins from (see the rewrite module), and with since = -1 every row
-of the symbol, which a first join starts from. `_parents` reads the rows
-over a child class from the classes in `_uses`. The patch's own state is
-thus the only index of `_join`, the join that `Engine.ematch` runs here.
+every row it adds to a class to its symbol's log as `(version, node, class)`,
+at the new view's version, the e-graph's `version` at the patch (a later
+patch follows a change, so it logs at a higher version); a first view starts
+from the live entries of the log of the view it copies. An entry dies when
+its row leaves its class; a patch counts those per symbol (`_dead`) and drops
+a symbol's dead entries, keeping the order, once they outnumber its live
+ones. Versions rise along the log, so `_rows(symbol, since)` walks it back to
+since and keeps the rows the view still holds: the delta semi-naive matching
+joins from (see the rewrite module), and with since = -1 every row of the
+symbol, which a first join starts from. `_parents` reads the rows over a
+child class from the classes in `_uses`. The patch's own state is thus the
+only index of `_join`, the join that `Engine.ematch` runs here.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class CanonicalView:
     # child class -> tuple of parent classes (ints only, which the cyclic
     # garbage collector does not track), symbol -> row log of (version,
     # node, class) entries, symbol -> dead entries in its log, and the
-    # change-log lengths read
+    # change-log positions read: (len(lost[BOTTOM]), len(lost[context]),
+    # ids made)
     _sig: dict = field(default_factory=dict, compare=False, repr=False)
     _uses: dict = field(default_factory=dict, compare=False, repr=False)
     _log: dict = field(default_factory=dict, compare=False, repr=False)
@@ -124,7 +128,14 @@ def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     for node, c in eg.nodes().items():
         grouped[rep[c]].add(eg.canonical_node(ctx, node))
     classes = {c: tuple(sorted(ns)) for c, ns in grouped.items()}
-    return CanonicalView(ctx, classes, eg.version_at(ctx))
+    return CanonicalView(ctx, classes, eg.version)
+
+
+def marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
+    """The change log's current positions for ctx: a view patched up to
+    them is current."""
+    lost = eg.uf.lost
+    return len(lost[BOTTOM]), len(lost[ctx]), len(eg.uf)
 
 
 def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
@@ -196,8 +207,8 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
             for row in dropped.intersection(keep):
                 sig.setdefault(row, t)
     view = CanonicalView(
-        ctx, classes, eg.version_at(ctx), _sig=sig, _uses=uses, _log=log, _dead=dead,
-        _marks=(len(eg.uf.lost[BOTTOM]), len(eg.uf.lost[ctx]), len(eg.uf)),
+        ctx, classes, eg.version, _sig=sig, _uses=uses, _log=log, _dead=dead,
+        _marks=marks(eg, ctx),
     )
     # a clash is between classes of prev, so a lost one's class is in into
     for a, b in prev.clashes:
@@ -222,8 +233,8 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
 
 
 class ViewCache:
-    """Materialized views keyed by context; a view is reused until the
-    context's change version (`EGraph.version_at`) moves past its stamp,
+    """Materialized views keyed by context; a view is reused while its
+    `_marks` equal the change log's current positions for its context,
     then patched (see the module docstring). Holds the e-graph weakly: the
     e-graph owns its cache, and a cycle would leave both to the cyclic
     garbage collector."""
@@ -235,10 +246,8 @@ class ViewCache:
     def get(self, ctx: ContextId) -> CanonicalView:
         eg = self._eg()
         view = self._views.get(ctx)
-        if view is not None and view.version == eg.version_at(ctx):
+        if view is not None and view._marks == marks(eg, ctx):
             return view
-        # a seed is patched even when its version is current: its marks
-        # leave ctx's log to read
         view = self._views[ctx] = _patch(eg, view or self._seed(eg, ctx))
         return view
 

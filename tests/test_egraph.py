@@ -12,6 +12,7 @@ from ctxsat.errors import (
     UnknownSymbol,
 )
 from ctxsat.lattice import BOTTOM, ContextLattice
+from ctxsat.views import build_view
 
 from oracles import blocks_to_pairs, naive_contextual_congruence
 
@@ -169,17 +170,36 @@ def test_rebuild_without_pending_is_free():
 
 def test_bottom_repair_rekeys_the_node_store():
     # (g b) is stored under b; once b joins a at bottom, interning (g a)
-    # must find it under its new key instead of making a new class
-    eg = EGraph()
-    for name, arity in [("g", 1), ("a", 0), ("b", 0)]:
-        eg.declare_function(name, arity)
-    a = eg.intern(term("a"))
-    gb = eg.intern(term("g", term("b")))
-    eg.merge(BOTTOM, eg.intern(term("b")), a)
+    # must find it under its new key instead of making a new class, also
+    # when a read patched the bottom view before the rebuild
+    for read_between in (False, True):
+        eg = EGraph()
+        for name, arity in [("g", 1), ("a", 0), ("b", 0)]:
+            eg.declare_function(name, arity)
+        a = eg.intern(term("a"))
+        gb = eg.intern(term("g", term("b")))
+        eg.merge(BOTTOM, eg.intern(term("b")), a)
+        if read_between:
+            eg.classes()
+        eg.rebuild()
+        ids = len(eg.uf)
+        assert eg.intern(term("g", term("a"))) == eg.find(BOTTOM, gb)
+        assert len(eg.uf) == ids
+
+
+def test_a_union_made_through_the_union_find_is_seen():
+    # views, rebuild and congruence read the union-find's own log, so a
+    # union that bypasses EGraph.merge is repaired like any other
+    eg, then = arith_graph()
+    fx = eg.intern(term("shift", term("x")))
+    fy = eg.intern(term("shift", term("y")))
     eg.rebuild()
-    ids = len(eg.uf)
-    assert eg.intern(term("g", term("a"))) == eg.find(BOTTOM, gb)
-    assert len(eg.uf) == ids
+    eg.views.get(then)
+    assert eg.uf.union_new(then, eg.intern(term("x")), eg.intern(term("y")))
+    assert eg.views.get(then).classes == build_view(eg, then).classes
+    assert eg.rebuild() == 1
+    assert eg.equiv(then, fx, fy)
+    assert not eg.equiv(BOTTOM, fx, fy)
 
 
 def test_congruence_cascades_upward():
@@ -306,8 +326,10 @@ def test_congruence_matches_naive_fixpoint():
     for seed, max_nodes, max_ctx in inputs:
         eg, merges, node_list = random_egraph(seed, max_nodes, max_ctx)
         eg.rebuild()
-        # one bottom-up sweep is already a fixpoint
-        eg._mutated(BOTTOM)
+        # one bottom-up sweep is already a fixpoint: a second one, over
+        # views built from scratch, finds nothing to repair
+        eg.views._views.clear()
+        eg._rebuilt_at = -1
         assert eg.rebuild() == 0, f"seed={seed}"
         oracle = naive_contextual_congruence(
             eg.lattice, node_list, len(eg.uf), merges

@@ -70,7 +70,7 @@ def test_view_cache_invalidation():
     eg.rebuild()
     v2 = cache.get(then)
     assert v2 is not v1
-    assert v2.version == eg.version_at(then)
+    assert v2.version == eg.version
 
 
 def test_factoring_well_defined_on_random_graphs():
@@ -128,7 +128,7 @@ def mutate(eg, rng, kind):
         # intersecting a context with itself promotes all of its equalities
         c = max(eg.lattice.ids())
         eg.merge(c, rng.choice(classes), rng.choice(classes))
-        eg.intersect_into(BOTTOM, c, c)
+        eg.uf.intersect_into(BOTTOM, c, c)
     else:
         # a fresh symbol makes the node new; its child id may be stale
         eg.add_node(eg.declare_function("g", 1), (rng.choice(classes),))
@@ -178,7 +178,7 @@ def change_something(eg, rng, kind, step):
     elif kind == "intersect":
         c1, c2 = rng.randrange(len(lat)), rng.randrange(len(lat))
         ctx = rng.choice([c for c in lat.ids() if lat.leq(c, c1) and lat.leq(c, c2)])
-        eg.intersect_into(ctx, c1, c2)
+        eg.uf.intersect_into(ctx, c1, c2)
     else:
         ctx = eg.declare_context(f"new{step}", {ctx})
     return ctx
@@ -246,7 +246,7 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
             elif kind == "intersect":
                 c1, c2 = rng.randrange(len(lat)), rng.randrange(len(lat))
                 lo = rng.choice([c for c in lat.ids() if lat.leq(c, c1) and lat.leq(c, c2)])
-                eg.intersect_into(lo, c1, c2)
+                eg.uf.intersect_into(lo, c1, c2)
                 # the promoted equalities, as merges the oracle can replay
                 merges += [(lo, min(b), i) for b in eg.uf.partition(lo) for i in b]
             elif len(lat) < 10:
