@@ -2,9 +2,11 @@
 
 Rules are tree patterns with variables. A rule's scope decides which
 contexts it fires in: everywhere (every declared context), a single named
-context, or every context at or above a named one. A match found at context
-c is merged at c, never below, so derived equalities live exactly where
-their justification does.
+context, or every context at or above a named one. The named context may
+be one a scoping construct makes during the run: the rule fires nowhere
+until it exists, and `Engine.run` raises UnknownContext if it still does
+not when the run returns. A match found at context c is merged at c, never
+below, so derived equalities live exactly where their justification does.
 
 Scoping constructs introduce contexts during the run:
 
@@ -29,8 +31,8 @@ intersections at the enclosing branch context rather than at bottom.
 
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
-backtracking join (`views._join`) over the rows `(node, class)` of a view,
-which extends a match through an atom's class or through the rows over a
+join (`views._join`) over the rows `(node, class)` of a view, which
+extends a match through an atom's class or through the rows over a
 class. A constant (a nullary atom other than the root) is bound to its
 stored node's class before the join, so a parent row over another class
 fails at once, and a constant that is not stored matches nothing. A first
@@ -46,20 +48,28 @@ merged at bottom meanwhile, so a run that re-matched everything may number
 fresh ids, and count unions per context, differently.) A delta call whose
 atoms' symbols logged no row since returns before binding anything, and a
 full join whose root's arguments are all constants probes the view's `_sig`
-for its one row while the view reports no clash. Each rule's query, and its
-right-hand side as post-order steps, compile once, when the rule is added.
+for its one row while the view reports no clash.
+
+Each rule compiles once, in `add_rule`: its query with a join plan from
+each atom (see the views module), and its right-hand side as post-order
+steps over a match's slot tuple (root, values in variable-name order), in
+which a variable is its position and each step takes the next one. The
+loop gets slot tuples from `ematch` and applies them in their sorted order,
+which numbers fresh ids, as `_add` calls and one union at the rule's
+context through the union-find's `_union`, which trusts the engine's ids.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy, _join
+from .views import OnTheFlyProvider, Strategy, _join, plan_join
 
 
 @dataclass(frozen=True)
@@ -188,10 +198,8 @@ class Engine:
         self._lambda_instances: list[_LambdaInstance] = []
         # (rule name, ctx) -> eg.version when the rule last matched there
         self._matched_at: dict[tuple[str, ContextId], int] = {}
-        # id(rule.lhs) -> (rule.lhs, its compiled query), and rule name ->
-        # its compiled right-hand side, set by add_rule
-        self._queries: dict[int, tuple] = {}
-        self._plans: dict[str, tuple] = {}
+        # rule name -> its compiled query and right-hand side, set by add_rule
+        self._compiled: dict[str, tuple[_Query, tuple]] = {}
 
     # registration
 
@@ -205,8 +213,8 @@ class Engine:
                 f"do not appear in the lhs"
             )
         self.rules.append(rule)
-        self._queries[id(rule.lhs)] = (rule.lhs, *_compile(rule.lhs))
-        self._plans[rule.name] = _compile_rhs(rule.rhs)
+        query = _compile(rule.lhs)
+        self._compiled[rule.name] = query, _compile_rhs(rule.rhs, query.names)
 
     def add_conditional_scope(
         self, if_name: str, true_name: str, false_name: str, eq_name: str | None = None
@@ -252,71 +260,79 @@ class Engine:
         reference provider instead, so tests can compare the two. `since`, an
         `eg.version` read after an earlier call, keeps only matches using a
         row logged after it (a bare variable, and the reference, which keeps
-        no log, match in full)."""
+        no log, match in full). Given a rule's compiled query instead of a
+        pattern, as the saturation loop passes, returns the same matches as
+        slot tuples (root, values in variable-name order)."""
         eg = self.eg
         eg.lattice.check(ctx)
         if strategy is Strategy.ON_THE_FLY:
             db, since = OnTheFlyProvider(eg, ctx), None
         else:
             db = eg.views.get(ctx)
-        # a rule's query, by identity (a pattern hashes slowly, and the entry
-        # keeps it alive); any other pattern compiles here
-        _, atoms, consts, names, width = (
-            self._queries.get(id(pattern)) or (pattern, *_compile(pattern))
-        )
+        # a rule's query compiled in add_rule; any other pattern compiles
+        # here, plans included
+        query = pattern if isinstance(pattern, _Query) else _compile(pattern)
+        atoms, consts, names, plans = query
         if not atoms:
-            return [({pattern.name: c}, c) for c in db.class_ids()]
+            found = [(c, c) for c in db.class_ids()]
         # idle: no row of any atom's symbol was logged since
-        if since is not None and all(db._newest(a[0]) <= since for a in atoms):
+        elif since is not None and all(db._newest(a[0]) <= since for a in atoms):
             return []
-        bound = [None] * width
-        for j in consts:
-            sym, _, out = atoms[j]
-            cls = eg._nodes.get((sym, ()))
-            if cls is None:
-                return []
-            bound[out] = eg.uf._find(ctx, cls)
-            # a constant's new row is in every match
-            if since is not None and db._newest(sym) > since and db._rows(sym, since):
-                since = None
-        if since is None:
-            f, args, _ = atoms[0]
-            key = tuple(map(bound.__getitem__, args))
-            if strategy is Strategy.ON_THE_FLY:
-                seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
-            elif None not in key and not db.clashes:
-                # constants bind every argument: the root's one possible row
-                node = ENode(f, key)
-                c = db._sig.get(node)
-                seeds = [(node, c)] if node in db.classes.get(c, ()) else []
-            else:
-                seeds = db._rows(f, -1)
-            starts = [(0, seeds)]
         else:
-            starts = [(i, db._rows(a[0], since)) for i, a in enumerate(atoms) if i not in consts]
-        found = [
-            b for i, seeds in starts if seeds for b in _join(db, atoms, consts, bound, i, seeds)
-        ]
-        if not found:
-            return []
-        results = {(b[0], tuple((name, b[slot]) for name, slot in names)) for b in found}
-        return [(dict(items), root) for root, items in sorted(results)]
+            bound = {}
+            for j in consts:
+                sym, _, out = atoms[j]
+                cls = eg._nodes.get((sym, ()))
+                if cls is None:
+                    return []
+                bound[out] = eg.uf._find(ctx, cls)
+                # a constant's new row is in every match
+                if since is not None and db._newest(sym) > since and db._rows(sym, since):
+                    since = None
+            if since is not None:
+                starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
+            else:
+                f, args, _ = atoms[0]
+                if strategy is Strategy.ON_THE_FLY:
+                    seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
+                elif bound.keys() >= set(args) and not db.clashes:
+                    # constants bind every argument: the root's one possible row
+                    node = ENode(f, tuple(map(bound.__getitem__, args)))
+                    c = db._sig.get(node)
+                    seeds = [(node, c)] if node in db.classes.get(c, ()) else []
+                else:
+                    seeds = db._rows(f, -1)
+                starts = [(plans[0], seeds)]
+            fixed = tuple(bound.values())  # in the order of consts, as plans read them
+            found = {m for plan, seeds in starts for m in _join(db, plan, fixed, seeds)}
+        matches = sorted(found)
+        if query is pattern:
+            return matches
+        return [(dict(zip(names, m[1:])), m[0]) for m in matches]
 
-    def _build(self, plan: tuple, subst: dict[str, ClassId]) -> ClassId:
-        """Add a compiled right-hand side over subst; returns its class."""
-        steps, top = plan
-        env: dict = dict(subst)
-        for i, (sym, args) in enumerate(steps):
-            env[i] = self.eg._add(sym, tuple(map(env.__getitem__, args)))
-        return env[top]
+    def _apply(self, ctx: ContextId, rhs: tuple, matches: list[tuple]) -> None:
+        """Add a compiled right-hand side over each match, a slot tuple, and
+        union it with the match's root at ctx. The ids are the engine's
+        own, so the union skips `EGraph.merge`'s checks."""
+        add, union = self.eg._add, self.eg.uf._union
+        steps, top = rhs
+        for m in matches:
+            env = [*m]
+            for sym, args in steps:
+                env.append(add(sym, map(env.__getitem__, args)))
+            union(ctx, m[0], env[top])
 
     def _admissible_contexts(self, scope: RuleScope) -> list[ContextId]:
+        """The contexts a rule of this scope fires in; none while its
+        context is not declared, as a construct may make it later in the
+        run (`run` rejects a name still unknown when it returns)."""
         lat = self.eg.lattice
         if isinstance(scope, Everywhere):
             return lat.topo_order()
-        if isinstance(scope, AtContext):
-            return [lat.id_of(scope.context)]
-        return sorted(lat.upset(lat.id_of(scope.context)))
+        if not lat.has_name(scope.context):
+            return []
+        c = lat.id_of(scope.context)
+        return [c] if isinstance(scope, AtContext) else sorted(lat.upset(c))
 
     # scope discovery
 
@@ -519,14 +535,13 @@ class Engine:
             eg.rebuild()
             self.apply_scopes()
             for rule in self.rules:
-                plan = self._plans[rule.name]
+                query, rhs = self._compiled[rule.name]
                 for ctx in self._admissible_contexts(rule.scope):
                     key = (rule.name, ctx)
-                    matches = self.ematch(ctx, rule.lhs, since=self._matched_at.get(key))
+                    matches = self.ematch(ctx, query, since=self._matched_at.get(key))
                     self._matched_at[key] = eg.version
-                    for subst, root in matches:
-                        eg.merge(ctx, root, self._build(plan, subst))
-                        report.rule_applications += 1
+                    self._apply(ctx, rhs, matches)
+                    report.rule_applications += len(matches)
             eg.rebuild()
             self.apply_intersections()
             self.apply_lambda_lifts()
@@ -537,13 +552,26 @@ class Engine:
             if eg.version == before:
                 report.saturated = True
                 break
+        for rule in self.rules:
+            if not isinstance(rule.scope, Everywhere):
+                eg.lattice.id_of(rule.scope.context)  # raises UnknownContext
         return report
 
 
-def _compile(pattern: Pattern):
-    """Atoms (symbol, argument slots, class slot), root first with its class
-    in slot 0, the constants (nullary atoms other than the root), the
-    (variable, slot) pairs, and the slot count."""
+class _Query(NamedTuple):
+    """A compiled left-hand side: atoms (symbol, argument slots, class
+    slot), root first with its class in slot 0; the constants (nullary
+    atoms other than the root), by atom index; the variable names, sorted;
+    and the static join plan from each non-constant atom
+    (`views.plan_join`)."""
+
+    atoms: list
+    consts: tuple
+    names: list
+    plans: dict
+
+
+def _compile(pattern: Pattern) -> _Query:
     atoms: list = []
     slots: dict[str, int] = {}
 
@@ -556,22 +584,25 @@ def _compile(pattern: Pattern):
         return out
 
     visit(pattern)
-    consts = frozenset(i for i, atom in enumerate(atoms) if i and not atom[1])
-    return atoms, consts, sorted(slots.items()), len(slots) + len(atoms)
+    consts = tuple(i for i, atom in enumerate(atoms) if i and not atom[1])
+    names = sorted(slots)
+    return _Query(atoms, consts, names, plan_join(atoms, consts, [slots[n] for n in names]))
 
 
-def _compile_rhs(pattern: Pattern) -> tuple[list, str | int]:
+def _compile_rhs(pattern: Pattern, names: list) -> tuple[list, int]:
     """A right-hand side's steps (symbol, args), in post-order with children
-    left to right, the order a recursive instantiation adds them in; an arg
-    is a variable name or the index of an earlier step. Also the key of its
-    class: a variable name, or the index of the last step."""
+    left to right, the order a recursive instantiation adds them in, over a
+    match's slot tuple: an arg is a position in the tuple extended by the
+    steps' classes (the root at 0, the variables in name order from 1, then
+    step i at 1 + len(names) + i). Also the position of its class."""
+    at = {name: k for k, name in enumerate(names, 1)}
     steps: list = []
 
-    def visit(p: Pattern) -> str | int:
+    def visit(p: Pattern) -> int:
         if isinstance(p, PatternVar):
-            return p.name
+            return at[p.name]
         args = tuple(visit(a) for a in p.args)
         steps.append((p.symbol, args))
-        return len(steps) - 1
+        return len(at) + len(steps)
 
     return steps, visit(pattern)

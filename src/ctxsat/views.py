@@ -49,6 +49,11 @@ joins from (see the rewrite module), and with since = -1 every row of the
 symbol, which a first join starts from. `_parents` reads the rows over a
 child class from the classes in `_uses`. The patch's own state is thus the
 only index of `_join`, the join that `Engine.ematch` runs here.
+
+Join plans: `plan_join` fixes once per compiled query, for each atom a join
+can start from, the visit order, how each atom is reached (through a bound
+class or as a parent) and which fields bind, check or repeat a slot; `_join`
+runs a plan on flat tuples, with no search and no binding per field.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import enum
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
@@ -303,40 +309,81 @@ class OnTheFlyProvider:
         return got
 
 
-def _join(db, atoms: list, consts, bound: list, start: int, seeds) -> list[list]:
-    """Slot bindings extending bound (the constants' classes) whose row for
-    atom `start` is in seeds; each next atom is reached through its class
-    or as a parent, and a constant's parent row must hold its class."""
-    partial = [b for node, cls in seeds if (b := _bind(atoms[start], node, cls, bound))]
-    done, frontier = {start, *consts}, [start]
-    while frontier and partial:
-        _, args, out = atoms[frontier.pop()]
-        for j, atom in enumerate(atoms):
-            sym, args_j, out_j = atom
-            if j in done or (out_j not in args and out not in args_j):
-                continue
-            done.add(j)
-            frontier.append(j)
-            if out_j in args:
-                partial = [
-                    b2 for b in partial for n in db.nodes_of(b[out_j])
-                    if n.symbol == sym and (b2 := _bind(atom, n, b[out_j], b))
-                ]
-            else:
-                pos = args_j.index(out)
-                partial = [
-                    b2 for b in partial for n, c in db._parents(sym, pos, b[out])
-                    if (b2 := _bind(atom, n, c, b))
-                ]
-    return partial
+def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
+    """A static join plan for each non-constant atom of a compiled query
+    (see the rewrite module), keyed by the atom it starts from.
+
+    A partial match is a flat tuple: the constants' classes in the order of
+    consts, then each visited row's fields (the class first, unless the row
+    was reached through its class). A plan is (check, steps, project): the
+    start row's check, then steps (symbol, position, child index or None,
+    check), each reaching its atom through the class at that position
+    (None) or as a parent at the child index over it. A check is None or
+    two item getters that agree when each field equals the earlier field of
+    its slot; a field equal by construction is not checked. project maps a
+    full match to its root and the values of var_slots, in order."""
+    plans = {}
+    for start in range(len(atoms)):
+        if start in consts:
+            continue
+        at = {atoms[j][2]: k for k, j in enumerate(consts)}  # slot -> position
+        size = len(consts)
+
+        def row(slots, skip=-1):
+            """Place a row's fields at the next positions; its check."""
+            nonlocal size
+            pairs = []
+            for k, s in enumerate(slots, size):
+                if s not in at:
+                    at[s] = k
+                elif k != size + skip:
+                    pairs.append((k, at[s]))
+            size += len(slots)
+            if not pairs:
+                return None
+            return itemgetter(*(k for k, _ in pairs)), itemgetter(*(p for _, p in pairs))
+
+        _, args, out = atoms[start]
+        first, steps = row((out, *args)), []
+        done, frontier = {start, *consts}, [start]
+        while frontier:
+            _, args, out = atoms[frontier.pop()]
+            for j, (sym_j, args_j, out_j) in enumerate(atoms):
+                if j in done or (out_j not in args and out not in args_j):
+                    continue
+                done.add(j)
+                frontier.append(j)
+                if out_j in args:
+                    steps.append((sym_j, at[out_j], None, row(args_j)))
+                else:
+                    pos = args_j.index(out)
+                    steps.append((sym_j, at[out], pos, row((out_j, *args_j), 1 + pos)))
+        keys = [at[0], *map(at.__getitem__, var_slots)]
+        project = itemgetter(*keys) if len(keys) > 1 else lambda t, k=keys[0]: (t[k],)
+        plans[start] = (first, steps, project)
+    return plans
 
 
-def _bind(atom, node: ENode, cls: ClassId, b: list) -> list | None:
-    """b extended by the row (node, cls) for atom, or None on a clash."""
-    b = b.copy()
-    for slot, value in zip((*atom[1], atom[2]), (*node.children, cls)):
-        if b[slot] is None:
-            b[slot] = value
-        elif b[slot] != value:
-            return None
-    return b
+def _join(db, plan: tuple, fixed: tuple, seeds) -> list[tuple]:
+    """The matches (root, values in variable-name order) of a plan from
+    its start rows seeds (node, class), the constants' classes fixed."""
+    check, steps, project = plan
+    nodes_of = db.nodes_of
+    partial = _keep(check, [(*fixed, c, *n.children) for n, c in seeds])
+    for sym, at, pos, check in steps:
+        if not partial:
+            return []
+        if pos is None:
+            partial = [t + n.children for t in partial for n in nodes_of(t[at]) if n.symbol == sym]
+        else:
+            partial = [(*t, c, *n.children) for t in partial for n, c in db._parents(sym, pos, t[at])]
+        partial = _keep(check, partial)
+    return list(map(project, partial))
+
+
+def _keep(check, rows: list[tuple]) -> list[tuple]:
+    """The rows whose fields pass a plan's check."""
+    if check is None:
+        return rows
+    left, right = check
+    return [t for t in rows if left(t) == right(t)]

@@ -113,6 +113,25 @@ def test_rule_scoped_at_missing_context_fails_at_run():
     assert "nowhere" in str(e.value)
 
 
+@pytest.mark.parametrize("scope", ["then", "at-or-above then"])
+def test_rule_scoped_at_a_context_a_construct_makes_later_fires_there(scope):
+    # `then` is declared only once `mk` has made the conditional, in the
+    # run's first iteration, after `in-then` was first considered
+    out = run_source(
+        f"""
+        (function true 0) (function false 0) (function if 3) (function f 1) (function g 1)
+        (function c 0) (function x 0) (function y 0) (scope-if if true false)
+        (rule mk (f ?a) (if c (g ?a) y) :scope everywhere)
+        (rule in-then (g x) y :scope {scope})
+        (term (f x)) (run 5)
+        (check-equal then (g x) y) (check-not-equal bot (g x) y)
+        """
+    )
+    assert out.reports[-1].saturated
+    assert [c.ok for c in out.checks] == [True, True]
+    assert out.exit_status == 0
+
+
 def test_json_report_is_deterministic():
     src = corpus_source("conditional")
     a = json.dumps(run_source(src).report_json(), sort_keys=True)

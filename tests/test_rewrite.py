@@ -153,47 +153,79 @@ def test_ematch_since_returns_only_new_matches():
     for seed in range(100):
         eg, _, _ = random_egraph(seed, max_nodes=14, max_ctx=4)
         eg.rebuild()
-        eng = Engine(eg)
         rng = random.Random(seed * 17 + 3)
-        lat = eg.lattice
-        symbols = eg.symbols()
-        pats = [random_pattern(rng, symbols, 2, 2) for _ in range(3)]
-        ctxs = list(lat.ids())
-        recorded = {
-            (ctx, p): (match_set(eng, ctx, p), eg.version, marks(eg, ctx))
-            for ctx in ctxs
-            for p in pats
-        }
-        for _ in range(rng.randint(1, 8)):
-            kind = rng.choice(["merge", "add-node", "intersect", "match"])
+        pats = [random_pattern(rng, eg.symbols(), 2, 2) for _ in range(3)]
+        check_since_after_random_changes(Engine(eg), pats, rng, seed)
+
+
+def test_ematch_since_returns_only_new_matches_of_deep_patterns():
+    # from the innermost p, a since-mode join reaches the two atoms above
+    # it as parents, one after the other, and checks ?x across and within
+    # atoms on the way
+    for seed in range(25):
+        eg, _, _ = random_egraph(seed, max_nodes=8, max_ctx=3)
+        rng = random.Random(seed * 13 + 5)
+        p = eg.declare_function("p", 2)
+        k0, k1 = eg.intern(term("k0")), eg.intern(term("k1"))
+        for t in ("(p (p (p k0 k0) k1) k0)", "(p (p (p k1 k1) k1) k1)", "(p (p k0 k0) k1)"):
+            eg.intern(parse_term(t))
+        for _ in range(4):
             n = len(eg.uf)
-            if kind == "merge":
-                eg.merge(rng.choice(ctxs), rng.randrange(n), rng.randrange(n))
-            elif kind == "add-node":
-                sym = rng.choice(symbols)
-                eg.add_node(sym, tuple(rng.randrange(n) for _ in range(sym.arity)))
-            elif kind == "intersect":
-                c1, c2 = rng.choice(ctxs), rng.choice(ctxs)
-                lo = rng.choice([c for c in ctxs if lat.leq(c, c1) and lat.leq(c, c2)])
-                eg.uf.intersect_into(lo, c1, c2)
-            else:
-                # a view patched in between must pass the row log on
-                match_set(eng, rng.choice(ctxs), rng.choice(pats))
-        if rng.random() < 0.5:
-            eg.rebuild()
-        for (ctx, p), (before, version, at) in recorded.items():
-            now = match_set(eng, ctx, p)
-            new = {
-                (root, tuple(sorted(subst.items())))
-                for subst, root in eng.ematch(ctx, p, since=version)
-            }
-            assert new <= now, f"seed={seed}"
-            assert now - new <= before, f"seed={seed}"
-            # the change log did not move at ctx: no row of its view is new
-            if marks(eg, ctx) == at and isinstance(p, PatternApp):
-                assert not new, f"seed={seed}"  # a bare variable matches in full
-            assert now == brute_force_matches(eng, ctx, p), f"seed={seed}"
-            assert match_set(eng, ctx, p, Strategy.ON_THE_FLY) == now, f"seed={seed}"
+            eg.add_node(p, (rng.choice((k0, k1, rng.randrange(n))), rng.randrange(n)))
+        eg.rebuild()
+        eng = Engine(eg)
+        pats = [
+            _term_to_pattern(eng, parse_term(t))
+            for t in ("(p (p (p ?x ?x) ?y) ?x)", "(p (p (p ?x ?y) ?y) ?y)")
+        ]
+        pats.append(random_pattern(rng, eg.symbols(), 3, 1))
+        check_since_after_random_changes(eng, pats, rng, seed)
+
+
+def check_since_after_random_changes(eng, pats, rng, seed):
+    """Record each pattern's matches at each context, change the graph at
+    random, then require a since-mode call from the recorded version to
+    return exactly the matches that are new or use a new row, and the full
+    matches to equal brute force and the reference provider."""
+    eg = eng.eg
+    lat = eg.lattice
+    symbols = eg.symbols()
+    ctxs = list(lat.ids())
+    recorded = {
+        (ctx, p): (match_set(eng, ctx, p), eg.version, marks(eg, ctx))
+        for ctx in ctxs
+        for p in pats
+    }
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(["merge", "add-node", "intersect", "match"])
+        n = len(eg.uf)
+        if kind == "merge":
+            eg.merge(rng.choice(ctxs), rng.randrange(n), rng.randrange(n))
+        elif kind == "add-node":
+            sym = rng.choice(symbols)
+            eg.add_node(sym, tuple(rng.randrange(n) for _ in range(sym.arity)))
+        elif kind == "intersect":
+            c1, c2 = rng.choice(ctxs), rng.choice(ctxs)
+            lo = rng.choice([c for c in ctxs if lat.leq(c, c1) and lat.leq(c, c2)])
+            eg.uf.intersect_into(lo, c1, c2)
+        else:
+            # a view patched in between must pass the row log on
+            match_set(eng, rng.choice(ctxs), rng.choice(pats))
+    if rng.random() < 0.5:
+        eg.rebuild()
+    for (ctx, p), (before, version, at) in recorded.items():
+        now = match_set(eng, ctx, p)
+        new = {
+            (root, tuple(sorted(subst.items())))
+            for subst, root in eng.ematch(ctx, p, since=version)
+        }
+        assert new <= now, f"seed={seed}"
+        assert now - new <= before, f"seed={seed}"
+        # the change log did not move at ctx: no row of its view is new
+        if marks(eg, ctx) == at and isinstance(p, PatternApp):
+            assert not new, f"seed={seed}"  # a bare variable matches in full
+        assert now == brute_force_matches(eng, ctx, p), f"seed={seed}"
+        assert match_set(eng, ctx, p, Strategy.ON_THE_FLY) == now, f"seed={seed}"
 
 
 def constant_graph(seed):
@@ -444,6 +476,30 @@ def test_semi_naive_run_equals_full_matching_run():
     assert totals[0] < totals[1]
 
 
+def test_saturation_loop_applies_matches_in_ematch_order(monkeypatch):
+    """The loop matches a rule through its compiled query and applies the
+    slot tuples it gets, in their order, which fixes the ids right-hand
+    sides make. Read with the rule's variable names, they are the list
+    ematch returns for the rule's pattern, element by element, sorted by
+    root and then by substitution."""
+    ematch, applied = Engine.ematch, [0]
+
+    def checked(self, ctx, pattern, strategy=None, since=None):
+        got = ematch(self, ctx, pattern, strategy, since)
+        for rule in self.rules:
+            if self._compiled[rule.name][0] is pattern:
+                listed = ematch(self, ctx, rule.lhs, strategy, since)
+                assert [(dict(zip(pattern.names, m[1:])), m[0]) for m in got] == listed
+                assert listed == sorted(listed, key=lambda sr: (sr[1], sorted(sr[0].items())))
+                applied[0] += len(got)
+        return got
+
+    monkeypatch.setattr(Engine, "ematch", checked)
+    for seed in range(60):
+        run_source(random_rewrite_program(seed)[0])
+    assert applied[0] > 1000
+
+
 def test_add_rule_validation():
     eng = Engine()
     eg = eng.eg
@@ -556,9 +612,9 @@ def test_intersection_only_promotes_pairs_shared_by_both_branches():
     eg = eng.eg
     eng.apply_scopes()
     for rule in eng.rules:
+        query, rhs = eng._compiled[rule.name]
         for ctx in eng._admissible_contexts(rule.scope):
-            for subst, match_root in eng.ematch(ctx, rule.lhs):
-                eg.merge(ctx, match_root, eng._build(eng._plans[rule.name], subst))
+            eng._apply(ctx, rhs, eng.ematch(ctx, query))
     eg.rebuild()
     then, els = eg.context("then"), eg.context("else")
 
