@@ -11,10 +11,15 @@ median speed-up over the rounds and its quartiles:
 
     python3 scripts/ab_time.py --workload scopes --a ../before --b . --rounds 10
 
+`--workload deep` is no benchmark workload: it times the nested towers of
+depth 32 and 64 and the lambda chain of depth 6 (`tower_op(32, 1)`,
+`tower_op(64, 1)`, `lambda_op([1, 2] * 3)`), to check that a change is no
+slower at depth.
+
 `--a` and `--b` are checkout roots (each with src/ctxsat/); a speed-up
 above 1 means B is faster. On a 2-vCPU VM a round of `scopes` takes about
-4 s, of `ac` about 2 s and of `query` under 1 s, after a set-up of a few
-seconds per side.
+4 s, of `ac` about 2 s, of `query` under 1 s and of `deep` about 1 s, after
+a set-up of a few seconds per side.
 """
 
 import argparse
@@ -62,6 +67,8 @@ def load(root: Path, tag: str):
 def distinct_ops(wl, aliases: dict, workload: str) -> list:
     """The distinct ops of the workload's seed-1 set-up, in a fixed order."""
     sys.modules.update(aliases)
+    if workload == "deep":
+        return [wl.tower_op(32, 1), wl.tower_op(64, 1), wl.lambda_op([1, 2] * 3)]
     ops, seen = [], set()
     for op in wl.PREPARE[workload](1).rounds.all_ops():
         key = getattr(op, "source", None) or (type(op).__name__, op.label)
@@ -85,7 +92,7 @@ def timed(op, aliases: dict) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=["scopes", "ac", "query"], required=True)
+    parser.add_argument("--workload", choices=["scopes", "ac", "query", "deep"], required=True)
     parser.add_argument("--a", type=Path, required=True, help="the baseline checkout root")
     parser.add_argument("--b", type=Path, default=ROOT, help="the checkout root to compare")
     parser.add_argument("--rounds", type=int, default=10)

@@ -24,14 +24,17 @@ congruence must merge. A repair, at bottom as at every other context, unions
 the clashes of the context's view until the patched view reports none, so
 its cost follows what changed. The bottom view is the class index
 (`classes`): bottom root -> its bottom-canonical nodes. The node store that
-add_node hash-conses against is re-keyed from the rows of each new bottom
-view a repair leaves. The cache holds the e-graph weakly, so the two form no
-reference cycle and reference counting frees them.
+add_node hash-conses against is re-keyed from the rows of the bottom view
+each bottom repair leaves. The cache holds the e-graph weakly, so the two
+form no reference cycle and reference counting frees them.
 
 FunctionSymbol and ENode are named tuples, hashed and compared in C (an
 ENode equals a plain tuple with the same fields). Ids are checked once, at
 the public entry points; the engine's own adds go through `_add`, which
-trusts its ids.
+trusts its ids and builds an ENode only for a node it stores.
+
+`term_in_class` reads the cached view and walks its term without
+recursion, so a term of any depth is found.
 
 Single-writer: all mutation goes through one engine thread. Reads between
 mutations (stats, class_nodes, find) are safe to share.
@@ -100,10 +103,8 @@ class EGraph:
         self._arities: dict[str, set[int]] = {}
         # node -> class holding it; keys use bottom-canonical children
         self._nodes: dict[ENode, ClassId] = {}
-        # the version the last rebuild finished at, and the bottom view
-        # _nodes was last keyed from
+        # the version the last rebuild finished at
         self._rebuilt_at = 0
-        self._keyed = None
         # id -> the node it was created for, as add_node saw it
         self.created: list[ENode] = []
         from .views import ViewCache  # views imports this module
@@ -171,12 +172,12 @@ class EGraph:
     # add_node for a symbol of the right arity over ids the package holds
     def _add(self, symbol: FunctionSymbol, children) -> ClassId:
         find = self.uf._base_find
-        node = ENode(symbol, tuple(map(find, children)))
-        existing = self._nodes.get(node)
+        key = (symbol, tuple(map(find, children)))
+        existing = self._nodes.get(key)
         if existing is not None:
             return find(existing)
         cls = self.uf.make_set()
-        self.created.append(node)
+        self.created.append(node := ENode(*key))
         self._nodes[node] = cls
         return cls
 
@@ -234,17 +235,14 @@ class EGraph:
     def _repair(self, ctx: ContextId) -> int:
         """Congruence closure at ctx: merge the clashes of ctx's patched view
         (classes whose nodes canonicalize alike) until it reports none. At
-        bottom, then re-key the node store by the repaired view's rows,
-        unless it was keyed from that view already (reads between rebuilds
-        patch the bottom view too, so the test is against the keyed view)."""
+        bottom, then re-key the node store by the repaired view's rows."""
         repairs = 0
         while (view := self.views.get(ctx)).clashes:
             for a, b in view.clashes:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
-        if ctx == BOTTOM and view is not self._keyed:
+        if ctx == BOTTOM:
             self._nodes = {row: c for c, rows in view.classes.items() for row in rows}
-            self._keyed = view
         return repairs
 
     # views
@@ -285,14 +283,26 @@ class EGraph:
         return len(classes), len(canon)
 
     def term_in_class(self, ctx: ContextId, t: Term, c: ClassId) -> bool:
-        """Is t derivable from c's class over the ctx-canonical database?"""
-        sym = self.symbol(t.symbol, len(t.children))
-        for node in self.class_nodes(ctx, c):
-            if node.symbol != sym:
-                continue
-            if all(
-                self.term_in_class(ctx, sub, ch)
-                for sub, ch in zip(t.children, node.children)
-            ):
-                return True
-        return False
+        """Is t derivable from c's class over ctx's cached view? Subterms are
+        numbered breadth-first, so a child's number exceeds its parent's; the
+        goals (subterm, class) reachable from (0, c) are decided from the
+        highest number down, with no recursion and no Term hashed."""
+        goal = (0, self.find(ctx, c))
+        view = self.views.get(ctx)
+        terms, kids = [t], []
+        for t in terms:  # grows while it is walked
+            kids.append(range(len(terms), len(terms) + len(t.children)))
+            terms += t.children
+        syms = [self.symbol(t.symbol, len(t.children)) for t in terms]
+        # goal -> the child goals of each of its class's nodes that fits
+        subgoals, work = {}, [goal]
+        for p, d in work:  # grows while it is walked
+            if (p, d) not in subgoals:
+                fits = [n.children for n in view.nodes_of(d) if n.symbol == syms[p]]
+                subgoals[p, d] = subs = [tuple(zip(kids[p], ch)) for ch in fits]
+                work += [g for sub in subs for g in sub]
+        holds = set()
+        for g in sorted(subgoals, reverse=True):
+            if any(map(holds.issuperset, subgoals[g])):
+                holds.add(g)
+        return goal in holds

@@ -167,18 +167,19 @@ class LayeredUnionFind:
     # internal
 
     def _union(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
+        # a link writes only its own layer, so the upset is walked in any
+        # order; the link at ctx merges, as the finds there differ
         if ctx == BOTTOM:
-            merged = self._base_union(a, b)
-        else:
-            if self._find(ctx, a) == self._find(ctx, b):
+            if not self._base_union(a, b):
                 return False
-            merged = False
-            for u in sorted(self.lattice.upset(ctx)):
-                merged |= self._link_in_layer(u, a, b)
-        if merged:
-            self.unions_at[ctx] += 1
-            self.changes += 1
-        return merged
+        elif self._find(ctx, a) == self._find(ctx, b):
+            return False
+        else:
+            for u in self.lattice.upset(ctx):
+                self._link_in_layer(u, a, b)
+        self.unions_at[ctx] += 1
+        self.changes += 1
+        return True
 
     def _base_find(self, x: int) -> int:
         p = self._parent

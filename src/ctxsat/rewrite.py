@@ -14,7 +14,7 @@ Scoping constructs introduce contexts during the run:
   in which the condition is equated with the true and false constants and
   the node with the respective branch body; the branch contexts of one
   conditional are later intersected back into g (proof by cases), innermost
-  conditional first, skipping one whose branch relations have not moved;
+  conditional first;
 - a lambda application seen at g gets a body context covering g in which the
   bound variable is equated with the argument; once the body class contains
   a term that avoids the variable, a cheapest such term is extracted and
@@ -46,9 +46,7 @@ merged; skipping it leaves the relation as the next rebuild would.
 (Re-adding a nested right-hand side before that rebuild can meet a child
 merged at bottom meanwhile, so a run that re-matched everything may number
 fresh ids, and count unions per context, differently.) A delta call whose
-atoms' symbols logged no row since returns before binding anything, and a
-full join whose root's arguments are all constants probes the view's `_sig`
-for its one row while the view reports no clash.
+atoms' symbols logged no row since returns before binding anything.
 
 Each rule compiles once, in `add_rule`: its query with a join plan from
 each atom (see the views module), and its right-hand side as post-order
@@ -157,10 +155,6 @@ class _CondInstance:
     cond: ClassId
     then_ctx: ContextId
     else_ctx: ContextId
-    seen: tuple[int, int, int] | None = None  # marks after the last intersection
-
-    def marks(self, lost: dict[ContextId, list[int]]) -> tuple[int, int, int]:
-        return len(lost[BOTTOM]), len(lost[self.then_ctx]), len(lost[self.else_ctx])
 
 
 @dataclass
@@ -279,31 +273,25 @@ class Engine:
         elif since is not None and all(db._newest(a[0]) <= since for a in atoms):
             return []
         else:
-            bound = {}
+            fixed = []  # the constants' classes, in the order of consts, as plans read them
             for j in consts:
-                sym, _, out = atoms[j]
+                sym = atoms[j][0]
                 cls = eg._nodes.get((sym, ()))
                 if cls is None:
                     return []
-                bound[out] = eg.uf._find(ctx, cls)
+                fixed.append(eg.uf._find(ctx, cls))
                 # a constant's new row is in every match
                 if since is not None and db._newest(sym) > since and db._rows(sym, since):
                     since = None
             if since is not None:
                 starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
             else:
-                f, args, _ = atoms[0]
+                f = atoms[0][0]
                 if strategy is Strategy.ON_THE_FLY:
                     seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
-                elif bound.keys() >= set(args) and not db.clashes:
-                    # constants bind every argument: the root's one possible row
-                    node = ENode(f, tuple(map(bound.__getitem__, args)))
-                    c = db._sig.get(node)
-                    seeds = [(node, c)] if node in db.classes.get(c, ()) else []
                 else:
                     seeds = db._rows(f, -1)
                 starts = [(plans[0], seeds)]
-            fixed = tuple(bound.values())  # in the order of consts, as plans read them
             found = {m for plan, seeds in starts for m in _join(db, plan, fixed, seeds)}
         matches = sorted(found)
         if query is pattern:
@@ -483,15 +471,12 @@ class Engine:
     def apply_intersections(self) -> int:
         """Proof by cases: intersect each conditional's branch relations back
         into its enclosing context, innermost (highest gamma) first, so one
-        pass carries a promotion down to bottom. An instance is skipped while
-        the lost logs at bottom and at its branches keep their lengths: only
-        they move the branch relations, and a new id creates no equality."""
-        total, lost = 0, self.eg.uf.lost
-        for inst in sorted(self._cond_instances, key=lambda i: -i.gamma):
-            if inst.marks(lost) != inst.seen:
-                total += self.eg.uf.intersect_into(inst.gamma, inst.then_ctx, inst.else_ctx)
-                inst.seen = inst.marks(lost)
-        return total
+        pass carries a promotion down to bottom."""
+        intersect = self.eg.uf.intersect_into
+        return sum(
+            intersect(inst.gamma, inst.then_ctx, inst.else_ctx)
+            for inst in sorted(self._cond_instances, key=lambda i: -i.gamma)
+        )
 
     def apply_lambda_lifts(self) -> int:
         """Equate each application with a cheapest binder-free body term."""

@@ -364,7 +364,7 @@ def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
     return plans
 
 
-def _join(db, plan: tuple, fixed: tuple, seeds) -> list[tuple]:
+def _join(db, plan: tuple, fixed: list, seeds) -> list[tuple]:
     """The matches (root, values in variable-name order) of a plan from
     its start rows seeds (node, class), the constants' classes fixed."""
     check, steps, project = plan

@@ -275,6 +275,19 @@ def test_term_in_class():
     assert not eg.term_in_class(BOTTOM, term("mul", term("2"), term("y")), xy)
 
 
+def test_term_in_class_finds_a_deep_term():
+    # no recursion on the term's depth: a 3,000-deep (f ... (f a))
+    eg = EGraph()
+    eg.declare_function("f", 1)
+    eg.declare_function("a", 0)
+    t = term("a")
+    for _ in range(3000):
+        t = term("f", t)
+    cls = eg.intern(t)
+    assert eg.term_in_class(BOTTOM, t, cls)
+    assert not eg.term_in_class(BOTTOM, t.children[0], cls)
+
+
 # randomized congruence-closure oracle
 
 
