@@ -84,11 +84,11 @@ def extract_from_view(
     model = model or CostModel()
     banned = forbidden_names(forbid)
     usable: dict[ClassId, list[ENode]] = {}
-    todo = [root] if root in view.classes else []
+    todo = [root] if view.nodes_of(root) else []
     while todo:
         c = todo.pop()
         if c not in usable:
-            usable[c] = nodes = [n for n in view.classes.get(c, ()) if n.symbol.name not in banned]
+            usable[c] = nodes = [n for n in view.nodes_of(c) if n.symbol.name not in banned]
             for n in nodes:
                 todo += n.children
     # ascending ids: children mostly before their parents
@@ -133,27 +133,38 @@ def extract_from_view(
                 achieving.append(node)
         candidates[c] = sorted(achieving, key=_node_key)
 
+    # depth first over the candidates, without recursion: a frame is a
+    # class, the index of its candidate being built and the children built
+    # so far; a candidate fails on a child on the path or failing itself
     memo: dict[ClassId, Term] = {}
-
-    def build(c: ClassId, stack: frozenset[ClassId]) -> Term:
-        got = memo.get(c)
-        if got is not None:
-            return got
-        if c in stack:
-            raise _Cycle
-        stack = stack | {c}
-        for node in candidates[c]:
-            try:
-                children = tuple(build(ch, stack) for ch in node.children)
-            except _Cycle:
-                continue
-            t = Term(node.symbol.name, children)
-            memo[c] = t
-            return t
+    frames, path, done = [[root, 0, []]], {root}, None
+    while frames:
+        c, k, built = frame = frames[-1]
+        if done is _Cycle:
+            k, built = k + 1, []
+        elif done:
+            built.append(done)
+        done = None
+        while k < len(candidates[c]) and not done:
+            node = candidates[c][k]
+            if len(built) == len(node.children):
+                done = memo[c] = Term(node.symbol.name, tuple(built))
+            elif (ch := node.children[len(built)]) in memo:
+                built.append(memo[ch])
+            elif ch in path:
+                k, built = k + 1, []
+            else:
+                frame[1:] = k, built
+                frames.append([ch, 0, []])
+                path.add(ch)
+                break
+        else:
+            done = done or _Cycle
+            frames.pop()
+            path.discard(c)
+    if done is _Cycle:
         raise _Cycle
-
-    t = build(root, frozenset())
-    return ExtractResult(t, cost[root])
+    return ExtractResult(done, cost[root])
 
 
 def extract(

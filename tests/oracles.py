@@ -156,6 +156,11 @@ def naive_contextual_congruence(lattice, nodes, n_ids, explicit):
             return {c: closure_blocks(n_ids, pairs[c]) for c in lattice.ids()}
 
 
+def resolved(view) -> dict:
+    """A view's classes read through its chain of bases: class -> rows."""
+    return {c: view.nodes_of(c) for c in view.class_ids()}
+
+
 def view_index_mismatch(view, prev, symbols) -> str | None:
     """The first disagreement of a cached view's join lookups with a
     brute-force reading of its classes, or None if there is none.
@@ -165,13 +170,12 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     an earlier view of the same context, or None, which reads as -1 and no
     rows), and `_rows(sym, -1)` every row of sym the view holds, which a
     first join reads. `_parents(sym, pos, child)` must list the rows whose
-    child at pos is child. When the view reports no clashes, `_sig[row]`
-    must be the class holding each row, which a join whose root row is
-    fully bound probes instead of scanning.
+    child at pos is child. When the view reports no clashes, the sigs of
+    its chain must resolve each row to the class holding it.
     """
 
     def rows(v):
-        return set() if v is None else {(n, c) for c, ns in v.classes.items() for n in ns}
+        return set() if v is None else {(n, c) for c, ns in resolved(v).items() for n in ns}
 
     held = rows(view)
     new = held - rows(prev)
@@ -191,8 +195,8 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
             return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
     if not view.clashes:
         for n, c in held:
-            if view._sig.get(n) != c:
-                return f"_sig[{n}] is not {c} at context {view.context}"
+            if view._holder(n) != c:
+                return f"the sig of {n} is not {c} at context {view.context}"
     return None
 
 

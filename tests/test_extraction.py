@@ -8,7 +8,7 @@ from ctxsat import BOTTOM, CostModel, EGraph, Term, extract, term
 from ctxsat.errors import NoFiniteTerm
 from ctxsat.extract import extract_from_view
 
-from oracles import whole_view_extraction
+from oracles import resolved, whole_view_extraction
 from test_egraph import random_egraph
 
 
@@ -249,9 +249,10 @@ def test_extract_from_view_agrees_with_a_whole_view_fixpoint():
         model = CostModel({n: rng.choice([0, 0.5, 1, 1, 2, 3]) for n in names})
         for ctx in eg.lattice.ids():
             view = eg.views.get(ctx)
-            for root in view.classes:
+            classes = resolved(view)
+            for root in classes:
                 for forbid in (None, {rng.choice(names)}):
-                    want = whole_view_extraction(view.classes, root, model.of, forbid or ())
+                    want = whole_view_extraction(classes, root, model.of, forbid or ())
                     try:
                         got = extract_from_view(view, root, model, forbid)
                     except NoFiniteTerm:
@@ -261,3 +262,21 @@ def test_extract_from_view_agrees_with_a_whole_view_fixpoint():
                         assert (got.cost, got.term) == want, f"seed={seed} ctx={ctx} root={root}"
                         outcomes["term"] += 1
     assert min(outcomes.values()) > 100
+
+
+def test_a_deep_term_extracts_without_recursion():
+    """A 3,000-deep (f ... (f a)) extracts; the term is read back without
+    recursion, as comparing or printing it would recurse."""
+    eg = EGraph()
+    eg.declare_function("f", 1)
+    eg.declare_function("a", 0)
+    t = term("a")
+    for _ in range(3000):
+        t = term("f", t)
+    got = extract(eg, BOTTOM, eg.intern(t))
+    assert got.cost == 3001
+    t, depth = got.term, 0
+    while t.symbol == "f":
+        (t,) = t.children
+        depth += 1
+    assert depth == 3000 and t == term("a")
