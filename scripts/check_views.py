@@ -7,18 +7,14 @@ view a get returns must be current: its `_marks` equal the change log's
 positions for its context (the lengths of the bottom and context lost logs,
 and the id count), which is what the cache reuses a view by. Each time a
 get returns a view it has not returned before for that cache and context,
-these must hold too:
+four things must hold too:
 
-- its classes, read through its chain of bases (`class_ids`, `nodes_of`),
-  equal those of a fresh `build_view`;
-- each class it owns is a root at its context, and each id it hides is not;
+- its classes equal those of a fresh `build_view`;
 - `_rows(symbol, since)`, with since the version of the context's previous
   view (-1 for its first), lists the rows held now and not then;
 - `_rows(symbol, -1)` lists every row of symbol it holds (a first join
   reads it);
-- `_parents(symbol, pos, child)` equals a brute-force filter of its classes;
-- if it reports no clash, the sigs of its chain resolve each row to the
-  class holding it.
+- `_parents(symbol, pos, child)` equals a brute-force filter of its classes.
 
 Prints the number of views checked, or the first mismatch and exits 1:
 
@@ -39,17 +35,7 @@ from ctxsat.lattice import BOTTOM  # noqa: E402
 from ctxsat.views import ViewCache, build_view  # noqa: E402
 
 from fingerprint import programs  # noqa: E402
-from oracles import resolved, view_index_mismatch  # noqa: E402
-
-
-def sparse_mismatch(eg, view) -> str | None:
-    """The first id a view owns or hides wrongly: an own class must be a
-    root at the view's context, and a hidden id must not be."""
-    find = eg.uf._find
-    for c, rows in view.own.items():
-        if (find(view.context, c) == c) != bool(rows):
-            return f"{'own' if rows else 'hidden'} id {c} at context {view.context}"
-    return None
+from oracles import view_index_mismatch  # noqa: E402
 
 
 class ViewChecker:
@@ -71,9 +57,9 @@ class ViewChecker:
             last = self._last.setdefault(cache, {})
             prev = last.get(ctx)
             if view is not prev:
-                if resolved(view) != resolved(build_view(eg, ctx)):
+                if view.classes != build_view(eg, ctx).classes:
                     raise AssertionError(f"classes at context {ctx} differ from build_view")
-                got = sparse_mismatch(eg, view) or view_index_mismatch(view, prev, eg.symbols())
+                got = view_index_mismatch(view, prev, eg.symbols())
                 if got is not None:
                     raise AssertionError(got)
                 last[ctx] = view

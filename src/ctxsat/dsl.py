@@ -22,7 +22,9 @@ Commands:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .egraph import Term
 from .errors import (
@@ -46,80 +48,51 @@ from .rewrite import (
     SaturationReport,
 )
 
-# s-expressions
+# s-expressions (named tuples, which a parse makes one per token)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     text: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     line: int = 0
     col: int = 0
 
 
-def _tokenize(source: str):
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and source[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (source[start:i], line, start_col)
-    yield (None, line, col)
+# a parenthesis, an atom (a run of characters that are none of these), a
+# comment or a line break; spaces, tabs and carriage returns lie between
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 
 
 def parse_sexprs(source: str) -> list:
-    """All top-level s-expressions of the source, with positions."""
-    out = []
-    stack: list[tuple[list, int, int]] = []
-    for tok, line, col in _tokenize(source):
-        if tok is None:
-            if stack:
-                _, oline, ocol = stack[-1]
-                raise DslSyntaxError("unclosed parenthesis", oline, ocol)
-            break
+    """All top-level s-expressions of the source, with positions (a column
+    counts characters from 1 at the start of its line)."""
+    out: list = []
+    items, stack = out, []
+    line, start = 1, 0  # start: where the line begins
+    for m in _TOKEN.finditer(source):
+        tok = m.group()
         if tok == "(":
-            stack.append(([], line, col))
+            stack.append((items, line, m.start() - start + 1))
+            items = []
         elif tok == ")":
             if not stack:
-                raise DslSyntaxError("unbalanced parenthesis", line, col)
-            items, oline, ocol = stack.pop()
-            sexp = SList(tuple(items), oline, ocol)
-            if stack:
-                stack[-1][0].append(sexp)
-            else:
-                out.append(sexp)
-        else:
-            atom = Atom(tok, line, col)
-            if stack:
-                stack[-1][0].append(atom)
-            else:
-                out.append(atom)
+                raise DslSyntaxError("unbalanced parenthesis", line, m.start() - start + 1)
+            outer, oline, ocol = stack.pop()
+            outer.append(SList(tuple(items), oline, ocol))
+            items = outer
+        elif tok == "\n":
+            line += 1
+            start = m.end()
+        elif tok[0] != ";":
+            items.append(Atom(tok, line, m.start() - start + 1))
+    if stack:
+        _, oline, ocol = stack[-1]
+        raise DslSyntaxError("unclosed parenthesis", oline, ocol)
     return out
 
 

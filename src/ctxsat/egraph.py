@@ -242,7 +242,7 @@ class EGraph:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
         if ctx == BOTTOM:
-            self._nodes = {row: c for c, rows in view.own.items() for row in rows}
+            self._nodes = {row: c for c, rows in view.classes.items() for row in rows}
         return repairs
 
     # views
@@ -264,7 +264,7 @@ class EGraph:
 
     def classes(self) -> dict[ClassId, tuple[ENode, ...]]:
         """The class index, the bottom view: root -> canonical nodes. Read-only."""
-        return self.views.get(BOTTOM).own
+        return self.views.get(BOTTOM).classes
 
     def class_nodes(self, ctx: ContextId, c: ClassId) -> set[ENode]:
         """Deduplicated ctx-canonical nodes of c's class at ctx, by a scan of

@@ -84,11 +84,11 @@ def extract_from_view(
     model = model or CostModel()
     banned = forbidden_names(forbid)
     usable: dict[ClassId, list[ENode]] = {}
-    todo = [root] if view.nodes_of(root) else []
+    todo = [root] if root in view.classes else []
     while todo:
         c = todo.pop()
         if c not in usable:
-            usable[c] = nodes = [n for n in view.nodes_of(c) if n.symbol.name not in banned]
+            usable[c] = nodes = [n for n in view.classes.get(c, ()) if n.symbol.name not in banned]
             for n in nodes:
                 todo += n.children
     # ascending ids: children mostly before their parents

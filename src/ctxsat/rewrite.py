@@ -31,7 +31,7 @@ intersections at the enclosing branch context rather than at bottom.
 
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
-join (`join._join`) over the rows `(node, class)` of a view, which
+join (`views._join`) over the rows `(node, class)` of a view, which
 extends a match through an atom's class or through the rows over a
 class. A constant (a nullary atom other than the root) is bound to its
 stored node's class before the join, so a parent row over another class
@@ -49,7 +49,7 @@ fresh ids, and count unions per context, differently.) A delta call whose
 atoms' symbols logged no row since returns before binding anything.
 
 Each rule compiles once, in `add_rule`: its query with a join plan from
-each atom (see the join module), and its right-hand side as post-order
+each atom (see the views module), and its right-hand side as post-order
 steps over a match's slot tuple (root, values in variable-name order), in
 which a variable is its position and each step takes the next one. The
 loop gets slot tuples from `ematch` and applies them in their sorted order,
@@ -67,8 +67,7 @@ from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .join import _join, plan_join
-from .views import OnTheFlyProvider, Strategy
+from .views import OnTheFlyProvider, Strategy, _join, plan_join
 
 
 @dataclass(frozen=True)
@@ -549,7 +548,7 @@ class _Query(NamedTuple):
     slot), root first with its class in slot 0; the constants (nullary
     atoms other than the root), by atom index; the variable names, sorted;
     and the static join plan from each non-constant atom
-    (`join.plan_join`)."""
+    (`views.plan_join`)."""
 
     atoms: list
     consts: tuple

@@ -6,37 +6,56 @@ coarser contexts are never larger than views of finer ones.
 
 E-matching, lambda lifting and congruence repair read the cached view of a
 context, and the bottom view is the e-graph's class index. The e-graph owns
-the one cache (`EGraph.views`), which patches a view only once the change log
-that can change its context has moved (the roots lost at bottom and at the
-context, and the ids made; see the egraph module). `OnTheFlyProvider`
-canonicalizes per query and `build_view` scans the node store: the references
-tests compare the cache against; extraction also reads the latter.
+the one cache (`EGraph.views`), which replaces a view only once the change
+log that can change its context has moved (the roots lost at bottom and at
+the context, and the ids made; see the egraph module), so a merge in one
+branch keeps the views of its siblings, and a change made through the
+union-find directly is seen like any other. `OnTheFlyProvider` canonicalizes
+per query instead; it is the reference implementation that tests compare the
+cached view against, and no engine path uses it. Extraction builds a fresh
+view with `build_view`, which tests also take as the reference; stats and
+read-only queries scan the node store.
 
-Sparse views: the bottom view, like a `build_view`, holds every class in
-`own`. Any other view holds only its difference from its base, the current
-view of its one cover (bottom's if it has several): its own classes, those
-that absorbed a root of the base or hold a row over one, and () for each
-base root that is not a root here (a hidden id). It reads every other class,
-log entry and parent through the chain of bases. A class stays own while it
-lives. A patch runs after its base's: a lost root or new id that touches no
-own class costs a lookup or two, and each class that changes becomes own,
-keeping the base's log entries of the rows it keeps. `_sig` maps an own row
-to the log entry of a class holding it, and `clashes` lists pairs of live
-classes holding a common row, the predecessor's and the base's included:
-merging them restores congruence. A row canonicalized here is checked
-against the base's rows, a row newly held through the base against the own
-ones. The patch state (`_sig`, `_uses`: child class -> own parent classes,
-the row log and its dead counts) is shared along a context's chain of views.
+Patching: every cached view is patched from its predecessor and the change
+log (the roots lost at bottom and at the context, the nodes of the ids
+created since). Bottom's first view is patched from an empty one; any other
+context's first view is a copy of its cover's current view (of the bottom
+view if it has several covers) patched from the whole log of the context's
+layer. The links the context copied from its cover at declaration lost no
+class of that view, so only the context's own merges move rows. Only rows
+that can change are re-canonicalized: a lost root's rows, which move into
+its class now, new ids' rows, and the rows over a lost root of the classes
+using it (`_uses`: child class -> parent classes); every other row keeps
+its entries. An old row's children are roots of the previous view, so it is
+re-canonicalized through the lost roots' classes, with no find. `_sig`
+maps a row to a class holding it (a kept row whose entry left with a moved
+copy gets it back), and `clashes` lists pairs of live classes holding a
+common row, the predecessor's still apart included:
+any two classes that share a row are joined through them, so merging them
+restores congruence; with no clash, `_sig[row]` is the one class holding
+row. The patch state (`_sig`, `_uses`, the row log and its dead counts) is
+shared along a context's chain of views, not copied: a superseded view's
+classes stay readable, but only the newest view is patched and answers the
+join's lookups.
 
-Row log: matching reads a view as rows `(node, class)`. A patch appends each
-row new to an own class to its symbol's log as `(version, node, class)`, at
-the e-graph's `version`, which a later patch exceeds; a row held through the
-base keeps the base's entry (the base is patched first, and a row stops being
-held through it only for good). An entry dies when its row leaves its class;
-a log drops its dead entries once they outnumber its live ones. `_rows(symbol,
-since)` walks the logs of the chain back to since and keeps the rows the view
-holds: the delta semi-naive matching joins from, and with since = -1 every
-row, which a first join reads.
+Row log: matching reads a view as rows `(node, class)`. Each patch appends
+every row it adds to a class to its symbol's log as `(version, node, class)`,
+at the new view's version, the e-graph's `version` at the patch (a later
+patch follows a change, so it logs at a higher version); a first view starts
+from the live entries of the log of the view it copies. An entry dies when
+its row leaves its class; a patch counts those per symbol (`_dead`) and drops
+a symbol's dead entries, keeping the order, once they outnumber its live
+ones. Versions rise along the log, so `_rows(symbol, since)` walks it back to
+since and keeps the rows the view still holds: the delta semi-naive matching
+joins from (see the rewrite module), and with since = -1 every row of the
+symbol, which a first join starts from. `_parents` reads the rows over a
+child class from the classes in `_uses`. The patch's own state is thus the
+only index of `_join`, the join that `Engine.ematch` runs here.
+
+Join plans: `plan_join` fixes once per compiled query, for each atom a join
+can start from, the visit order, how each atom is reached (through a bound
+class or as a parent) and which fields bind, check or repeat a slot; `_join`
+runs a plan on flat tuples, with no search and no binding per field.
 """
 
 from __future__ import annotations
@@ -44,120 +63,70 @@ from __future__ import annotations
 import enum
 import weakref
 from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
 
 
+@dataclass(slots=True)
 class CanonicalView:
-    """One context's canonicalized database, whole or over a base."""
+    """One context's canonicalized database; read-only once made (not
+    frozen, which would make each patch's new view slower to build)."""
 
-    __slots__ = ("context", "own", "version", "_below", "_marks", "_sig", "_uses", "_log", "_dead",
-                 "clashes", "_top")
-
-    def __init__(self, context: ContextId, own: dict, version: int, below=(), marks=(0, 0, 0), state=None):
-        # own: class -> rows, every class without a base, else the own
-        # classes and () for each hidden id; _below: the base, its base and
-        # so on; _marks: the change-log positions read, (len(lost[BOTTOM]),
-        # len(lost[context]), ids made)
-        self.context, self.own, self.version, self._below, self._marks = context, own, version, below, marks
-        # patch state of a cached view: own row -> log entry, child class
-        # -> tuple of own parent classes (ints, which the cyclic garbage
-        # collector does not track), symbol -> row log of (version, node,
-        # class) entries, symbol -> dead entries in its log
-        self._sig, self._uses, self._log, self._dead = state or ({}, {}, {}, {})
-        # pairs of live classes holding a common row; symbol -> _newest
-        self.clashes, self._top = [], {}
+    context: ContextId
+    classes: dict[ClassId, tuple[ENode, ...]]
+    version: int
+    # pairs of live classes holding a common row; cached views only
+    clashes: list = field(default_factory=list, compare=False, repr=False)
+    # patch state of a cached view (see the module docstring): row -> class,
+    # child class -> tuple of parent classes (ints only, which the cyclic
+    # garbage collector does not track), symbol -> row log of (version,
+    # node, class) entries, symbol -> dead entries in its log, and the
+    # change-log positions read: (len(lost[BOTTOM]), len(lost[context]),
+    # ids made)
+    _sig: dict = field(default_factory=dict, compare=False, repr=False)
+    _uses: dict = field(default_factory=dict, compare=False, repr=False)
+    _log: dict = field(default_factory=dict, compare=False, repr=False)
+    _dead: dict = field(default_factory=dict, compare=False, repr=False)
+    _marks: tuple = field(default=(0, 0, 0), compare=False, repr=False)
 
     def class_ids(self) -> list[ClassId]:
-        if not self._below:
-            return sorted(self.own)
-        return [c for c in self._below[0].class_ids() if self.own.get(c) != ()]
+        return sorted(self.classes)
 
     def nodes_of(self, c: ClassId) -> tuple[ENode, ...]:
-        got = self.own.get(c)
-        if got is None:
-            for view in self._below:
-                if (got := view.own.get(c)) is not None:
-                    break
-        return got or ()
+        return self.classes.get(c, ())
 
     def _rows(self, symbol: FunctionSymbol, since: int) -> list[tuple[ENode, ClassId]]:
         """Rows (node, class) of symbol logged after since that the view
-        holds, read from bottom up: each view drops its base's rows of the
-        classes it owns or hides and adds its own; a log rises in version,
-        so its walk back stops at since."""
+        still holds; the log rises in version, so the walk back stops at
+        since."""
         out = []
-        if self._newest(symbol) <= since:
-            return out
-        for view in (*reversed(self._below), self):
-            own = view.own
-            if out and own:
-                out = [r for r in out if r[1] not in own]
-            for version, node, c in reversed(view._log.get(symbol, ())):
-                if version <= since:
-                    break
-                if node in own.get(c, ()):
-                    out.append((node, c))
+        for version, node, c in reversed(self._log.get(symbol, ())):
+            if version <= since:
+                break
+            if node in self.classes.get(c, ()):
+                out.append((node, c))
         return out
 
     def _newest(self, symbol: FunctionSymbol) -> int:
-        """The version of the last entry of a row of symbol the view holds,
-        or -1; kept, as a view's rows stay while it is current."""
-        top = self._top.get(symbol)
-        if top is None:
-            top, above = -1, []
-            for view in (self, *self._below):
-                for version, node, c in reversed(view._log.get(symbol, ())):
-                    if version <= top:
-                        break
-                    if node in view.own.get(c, ()) and all(c not in m for m in above):
-                        top = version
-                        break
-                above.append(view.own)
-            self._top[symbol] = top
-        return top
+        """The version of symbol's last log entry, or -1."""
+        entries = self._log.get(symbol)
+        return entries[-1][0] if entries else -1
 
     def _parents(self, symbol: FunctionSymbol, pos: int, child: ClassId) -> list:
         """Rows (node, class) of symbol whose child at pos is child."""
-        out = []
-        for view in (*reversed(self._below), self):
-            own = view.own
-            if out and own:
-                out = [r for r in out if r[1] not in own]
-            out += [
-                (n, c) for c in view._uses.get(child, ()) for n in own.get(c, ())
-                if n.symbol == symbol and n.children[pos] == child
-            ]
-        return out
-
-    def _entries_of(self, c: ClassId, rows) -> list[tuple]:
-        """The log entries of rows of class c, from the view that owns c."""
-        view = next(v for v in (self, *self._below) if c in v.own)
-        out = [view._sig.get(row) for row in rows]
-        for k, (e, row) in enumerate(zip(out, rows)):
-            if e is None or e[2] != c or e[0] is None:  # see `_patch`
-                out[k] = next(e for e in view._log[row.symbol] if e[1] == row and e[2] == c)
-        return out
-
-    def _holder(self, row: ENode) -> ClassId | None:
-        """A class holding row, found through the sigs of the chain."""
-        for view in (self, *self._below):
-            e = view._sig.get(row)
-            if e is not None and row in self.nodes_of(e[2]):
-                return e[2]
-        return None
-
-    def _users(self, child: ClassId) -> set[ClassId]:
-        """The classes of the chain with a row over child, and maybe more."""
-        return {c for view in (self, *self._below) for c in view._uses.get(child, ())}
+        return [
+            (n, c) for c in self._uses.get(child, ()) for n in self.classes.get(c, ())
+            if n.symbol == symbol and n.children[pos] == child
+        ]
 
     def node_count(self) -> int:
-        return sum(len(self.nodes_of(c)) for c in self.class_ids())
+        return sum(len(ns) for ns in self.classes.values())
 
     def class_count(self) -> int:
-        return len(self.class_ids())
+        return len(self.classes)
 
 
 def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
@@ -174,18 +143,17 @@ def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
 def marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
     """The change log's current positions for ctx: a view patched up to
     them is current."""
-    lost = eg.uf.lost
-    return len(lost[BOTTOM]), len(lost[ctx]), len(eg.uf)
+    uf = eg.uf
+    return len(uf.lost[BOTTOM]), len(uf.lost[ctx]), len(uf._parent)
 
 
-def _add_rows(view: CanonicalView, entries) -> None:
-    """Record the log entries in the view's log, sig and uses, and a clash
-    with the class already holding a row."""
-    sig, uses, log = view._sig, view._uses, view._log
-    for e in entries:
-        row, c = e[1], e[2]
-        log.setdefault(row.symbol, []).append(e)
-        if (other := sig.setdefault(row, e)[2]) != c:
+def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
+    """Record rows of class c in the view's sig and uses, and a clash with
+    the class already holding a row."""
+    sig, uses = view._sig, view._uses
+    for row in rows:
+        other = sig.setdefault(row, c)
+        if other != c:
             view.clashes.append((other, c))
         for ch in row.children:
             parents = uses.get(ch, ())
@@ -193,137 +161,90 @@ def _add_rows(view: CanonicalView, entries) -> None:
                 uses[ch] = (*parents, c)
 
 
-def _patch(eg: EGraph, prev: CanonicalView, base: CanonicalView | None, now: tuple) -> CanonicalView:
-    """The view of prev's context at the change-log positions now, over
-    base, the current view of its base, patched from prev and the log
-    since it; takes over prev's patch state."""
-    ctx, find, canon, own = prev.context, eg.uf._find, eg.canonical_node, prev.own.copy()
-    sig, uses, log, dead = state = prev._sig, prev._uses, prev._log, prev._dead
+def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
+    """The current view of prev's context, patched from prev and the change
+    log since it; takes over prev's sig, uses, row log and dead counts."""
+    ctx, find, canon = prev.context, eg.uf._find, eg.canonical_node
+    sig, uses, log, dead = prev._sig, prev._uses, prev._log, prev._dead
     n_bot, n_ctx, n_ids = prev._marks
-    # dirty class -> rows to (re-)add; into: lost root with own rows or
-    # own rows over it -> its class now; over: classes with a row over a
-    # lost or hidden root; left: rows that left an own class; shared: base
-    # rows (node, class) that may newly equal an own row, and the classes
-    # whose own rows over them may newly equal a base row; hid: the base
-    # roots this layer lost, hidden from now on
-    dirty, into, over, left, shared, hid = {}, {}, set(), [], [], set()
-    lost = eg.uf.lost[BOTTOM][n_bot:]
-    if base and ((mine := eg.uf.lost[ctx][n_ctx:]) or lost):
-        # every other class that absorbed a hidden id is own already
-        parent, links = eg.uf._parent, eg.uf._overlay.get(base.context, ())
-        for x in mine:
-            if parent[x] == x and x not in links:
-                hid.add(x)
-                dirty.setdefault(find(ctx, x), [])
-        # a first view reads every other loss through its base
-        lost = lost + mine if prev.version else [x for x in mine if x in hid]
+    # at bottom the two logs are one
+    lost = eg.uf.lost[BOTTOM][n_bot:] + (eg.uf.lost[ctx][n_ctx:] if ctx != BOTTOM else [])
+    classes = prev.classes.copy()
+    # dirty class -> rows to (re-)add to it; into: lost class -> its class
+    # now; over: the classes with a row over a lost root; left: rows that
+    # left a class, whose log entries are now dead
+    dirty: dict[ClassId, list[ENode]] = {}
+    into: dict[ClassId, ClassId] = {}
+    over: set[ClassId] = set()
+    left: list[ENode] = []
     for x in lost:
-        got = own.pop(x, None)
-        if x in hid:
-            own[x] = ()
-        # a new id's row is read below, and a hidden id left the base
-        if x >= n_ids or got == () or (got is None and base is None):
+        rows = classes.pop(x, None)
+        if rows is None:
             continue
-        over_x, t = uses.pop(x, ()), find(ctx, x)
-        if base and x not in hid and got is None and t not in own and t not in dirty:
-            # x went into t at the base as here: the base moved its rows and
-            # those over it, and an own row over x moves
-            if over_x:
-                into[x] = t
-                over.update(over_x)
-            if t in uses:
-                shared.append(t)
-            continue
-        # x's rows here before, read through prev's base if it owned none
-        if not (rows := got or prev._below[0].nodes_of(x)):
-            continue
-        into[x] = t
-        over.update(over_x)
-        left += got or ()
-        if base and (z := x if x in hid else find(base.context, x)) != t:
-            # the base moved x's rows and those over it to a hidden id
-            over.update(p for p in base._users(z) if p not in own)
-        elif t in uses and base:
-            shared.append(t)
+        into[x] = t = find(ctx, x)
         dirty.setdefault(t, []).extend(rows)
-    # a new id's row lands in, and over, classes that absorbed no hidden id
-    # unless they are own or dirty, and is then held as the base holds it;
-    # fixed: the rows canonicalized here, which alone may equal a base row;
-    # must: the classes that absorbed a root, which stay own
-    fixed, must = set(), set(dirty)
-    for i in range(n_ids, now[2]):
-        n, t = canon(ctx, eg.created[i]), find(ctx, i)
-        if base and t not in own and t not in dirty and own.keys().isdisjoint(n.children) and (
-                dirty.keys().isdisjoint(n.children)):
-            shared.append((n, t))
-        else:
-            dirty.setdefault(t, []).append(n)
-            fixed.add(n)
-    view = CanonicalView(ctx, own, eg.version, (base, *base._below) if base else (), now, state)
-    # a clash is between classes of prev or of base
-    for a, b in (*prev.clashes, *(base.clashes if base else ())):
-        if (a := find(ctx, a)) != (b := find(ctx, b)):
-            view.clashes.append((a, b))
-    # the ids a row may be over that are no roots here: the lost roots, and
-    # above bottom the hidden ids; an own class keeps its rows over none of
-    # them as they are, and a class new to own so keeps its base rows
-    off = into.keys() if base is None else {*lost, *(c for c, r in own.items() if not r)}
-    over = {find(ctx, p) for p in over}
-    taken, work = set(), []
+        left += rows
+        over.update(uses.pop(x, ()))
+    for i in range(n_ids, len(eg.uf)):
+        dirty.setdefault(find(ctx, i), []).append(canon(ctx, eg.created[i]))
+    # a class dead before this patch holds no row: the live classes that
+    # took its rows over x are listed in uses[x] too
+    get = into.get
+    over = {get(p, p) for p in over if p in prev.classes}
+    # a class keeps its rows over no lost root as they are
+    lost_roots = into.keys()
+    work = []
     for t in (*dirty, *over.difference(dirty)):
-        redo, keep = dirty.get(t, []), own.get(t, () if base is None else None)
-        if keep is None:
-            taken.add(t)
-            keep = []
-            for n in base.nodes_of(t):
-                (keep if off.isdisjoint(n.children) else redo).append(n)
-        elif t in over and (stale := [n for n in keep if not off.isdisjoint(n.children)]):
-            keep = [n for n in keep if off.isdisjoint(n.children)]
-            redo += stale
-            left += stale
+        redo, keep = dirty.get(t, []), classes.get(t, ())
+        if t in over:
+            stale = [n for n in keep if not lost_roots.isdisjoint(n.children)]
+            if stale:
+                keep = [n for n in keep if lost_roots.isdisjoint(n.children)]
+                redo += stale
+                left += stale
         if redo:
             work.append((t, keep, redo))
     # drop the sig entries of the rows to re-add before re-adding any, so
     # that a row they still hold and a clean class holds too is reported;
     # a kept row whose entry went with a moved copy points at its class
-    # (with no version: `_entries_of` looks it up)
     dropped = set()
     for t, _, redo in work:
         for row in redo:
-            if (e := sig.get(row)) is not None and (e[2] == t or into.get(e[2]) == t):
+            other = sig.get(row)
+            if other == t or into.get(other) == t:
                 del sig[row]
                 dropped.add(row)
-    for t, keep, _ in work if dropped else ():
-        for row in dropped.intersection(keep) if t not in taken else ():
-            sig.setdefault(row, (None, row, t))
+    if dropped:
+        for t, keep, _ in work:
+            for row in dropped.intersection(keep):
+                sig.setdefault(row, t)
+    view = CanonicalView(
+        ctx, classes, eg.version, _sig=sig, _uses=uses, _log=log, _dead=dead,
+        _marks=marks(eg, ctx),
+    )
+    # a clash is between classes of prev, so a lost one's class is in into
+    for a, b in prev.clashes:
+        a, b = into.get(a, a), into.get(b, b)
+        if a != b:
+            view.clashes.append((a, b))
+    # a row's children are roots of prev, so a lost one's class is in into
     for t, keep, redo in work:
-        fresh = {n if off.isdisjoint(n.children) else canon(ctx, n) for n in redo}
-        fixed.update(fresh.difference(redo) if base else ())
+        fresh = {
+            n if lost_roots.isdisjoint(n.children)
+            else ENode(n.symbol, tuple(map(get, n.children, n.children)))
+            for n in redo
+        }
         new = sorted(fresh.difference(keep))
-        if t in taken and t not in must and not new and len(keep) == len(rows := base.nodes_of(t)):
-            shared += [(n, t) for n in rows]  # no change: not own after all
-            continue
-        own[t] = tuple(sorted([*keep, *new]) if new else keep)
-        if t in taken:  # the rows it keeps keep their entries
-            _add_rows(view, base._entries_of(t, keep))
-            for sym in {n.symbol for n in keep}:
-                log[sym].sort(key=itemgetter(0))
-        _add_rows(view, [(view.version, n, t) for n in new])
-    for s in shared:
-        if isinstance(s, int):  # own rows over s against the base's rows
-            fixed.update(n for q in uses.get(s, ()) for n in own.get(q, ()) if s in n.children)
-        elif (e := sig.get(s[0])) is not None and e[2] != s[1] and s[0] in own.get(e[2], ()):
-            view.clashes.append((e[2], s[1]))
-    for n in fixed if base else ():
-        e = sig.get(n)
-        if e and n in own.get(e[2], ()) and (d := base._holder(n)) not in (None, e[2]) and d not in own:
-            view.clashes.append((d, e[2]))
+        classes[t] = tuple(sorted([*keep, *new]) if new else keep)
+        _add_rows(view, t, new)
+        for n in new:
+            log.setdefault(n.symbol, []).append((view.version, n, t))
     # a symbol's log drops its dead entries once they outnumber the live ones
     for n in left:
         dead[n.symbol] = dead.get(n.symbol, 0) + 1
     for sym in {n.symbol for n in left}:
         if 2 * dead[sym] > len(entries := log[sym]):
-            entries[:] = [e for e in entries if e[1] in own.get(e[2], ())]
+            entries[:] = [e for e in entries if e[1] in classes.get(e[2], ())]
             dead[sym] = 0
     return view
 
@@ -331,9 +252,9 @@ def _patch(eg: EGraph, prev: CanonicalView, base: CanonicalView | None, now: tup
 class ViewCache:
     """Materialized views keyed by context; a view is reused while its
     `_marks` equal the change log's current positions for its context,
-    then patched after its base (see the module docstring). Holds the
-    e-graph weakly: the e-graph owns its cache, and a cycle would leave
-    both to the cyclic garbage collector."""
+    then patched (see the module docstring). Holds the e-graph weakly: the
+    e-graph owns its cache, and a cycle would leave both to the cyclic
+    garbage collector."""
 
     def __init__(self, eg: EGraph):
         self._eg = weakref.ref(eg)
@@ -341,20 +262,32 @@ class ViewCache:
 
     def get(self, ctx: ContextId) -> CanonicalView:
         eg = self._eg()
-        view, now = self._views.get(ctx), marks(eg, ctx)
-        if view is not None and view._marks == now:
+        view = self._views.get(ctx)
+        if view is not None and view._marks == marks(eg, ctx):
             return view
-        base = None
-        if ctx != BOTTOM:
-            covers = eg.lattice.covers(ctx)
-            base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
-        if view is None:
-            # a first view starts empty, at its base's positions but for its
-            # own layer's log
-            view = CanonicalView(ctx, {}, 0, (base, *base._below), (base._marks[0], 0, now[2])) if base else (
-                CanonicalView(ctx, {}, 0))
-        view = self._views[ctx] = _patch(eg, view, base, now)
+        view = self._views[ctx] = _patch(eg, view or self._seed(eg, ctx))
         return view
+
+    def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
+        """What ctx's first view is patched from: at bottom an empty view,
+        else a copy of its one cover's current view (of bottom's if it has
+        several) with ctx's whole layer log still to read; the links it
+        copied from the cover pop no class of that view. Only live row log
+        entries are copied (a row dead below ctx stays dead at ctx), so a
+        log with no dead entry is copied whole."""
+        if ctx == BOTTOM:
+            return CanonicalView(BOTTOM, {}, 0)
+        covers = eg.lattice.covers(ctx)
+        base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
+        log = {
+            sym: [e for e in rows if e[1] in base.classes.get(e[2], ())]
+            if base._dead.get(sym) else rows.copy()
+            for sym, rows in base._log.items()
+        }
+        return replace(
+            base, context=ctx, _sig=base._sig.copy(), _uses=base._uses.copy(),
+            _log=log, _dead={}, _marks=(base._marks[0], 0, base._marks[2]),
+        )
 
 
 class Strategy(enum.Enum):
@@ -385,3 +318,83 @@ class OnTheFlyProvider:
             got = tuple(sorted(self.eg.class_nodes(self.ctx, c)))
             self._memo[c] = got
         return got
+
+
+def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
+    """A static join plan for each non-constant atom of a compiled query
+    (see the rewrite module), keyed by the atom it starts from.
+
+    A partial match is a flat tuple: the constants' classes in the order of
+    consts, then each visited row's fields (the class first, unless the row
+    was reached through its class). A plan is (check, steps, project): the
+    start row's check, then steps (symbol, position, child index or None,
+    check), each reaching its atom through the class at that position
+    (None) or as a parent at the child index over it. A check is None or
+    two item getters that agree when each field equals the earlier field of
+    its slot; a field equal by construction is not checked. project maps a
+    full match to its root and the values of var_slots, in order."""
+    plans = {}
+    for start in range(len(atoms)):
+        if start in consts:
+            continue
+        at = {atoms[j][2]: k for k, j in enumerate(consts)}  # slot -> position
+        size = len(consts)
+
+        def row(slots, skip=-1):
+            """Place a row's fields at the next positions; its check."""
+            nonlocal size
+            pairs = []
+            for k, s in enumerate(slots, size):
+                if s not in at:
+                    at[s] = k
+                elif k != size + skip:
+                    pairs.append((k, at[s]))
+            size += len(slots)
+            if not pairs:
+                return None
+            return itemgetter(*(k for k, _ in pairs)), itemgetter(*(p for _, p in pairs))
+
+        _, args, out = atoms[start]
+        first, steps = row((out, *args)), []
+        done, frontier = {start, *consts}, [start]
+        while frontier:
+            _, args, out = atoms[frontier.pop()]
+            for j, (sym_j, args_j, out_j) in enumerate(atoms):
+                if j in done or (out_j not in args and out not in args_j):
+                    continue
+                done.add(j)
+                frontier.append(j)
+                if out_j in args:
+                    steps.append((sym_j, at[out_j], None, row(args_j)))
+                else:
+                    pos = args_j.index(out)
+                    steps.append((sym_j, at[out], pos, row((out_j, *args_j), 1 + pos)))
+        keys = [at[0], *map(at.__getitem__, var_slots)]
+        project = itemgetter(*keys) if len(keys) > 1 else lambda t, k=keys[0]: (t[k],)
+        plans[start] = (first, steps, project)
+    return plans
+
+
+def _join(db, plan: tuple, fixed: list, seeds) -> list[tuple]:
+    """The matches (root, values in variable-name order) of a plan from
+    its start rows seeds (node, class), the constants' classes fixed."""
+    check, steps, project = plan
+    nodes_of = db.nodes_of
+    partial = _keep(check, [(*fixed, c, *n.children) for n, c in seeds])
+    for sym, at, pos, check in steps:
+        if not partial:
+            return []
+        if pos is None:
+            partial = [t + n.children for t in partial for n in nodes_of(t[at]) if n.symbol == sym]
+        else:
+            partial = [(*t, c, *n.children) for t in partial for n, c in db._parents(sym, pos, t[at])]
+        partial = _keep(check, partial)
+    return list(map(project, partial))
+
+
+def _keep(check, rows: list[tuple]) -> list[tuple]:
+    """The rows whose fields pass a plan's check."""
+    if check is None:
+        return rows
+    left, right = check
+    return [t for t in rows if left(t) == right(t)]

@@ -170,8 +170,9 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     an earlier view of the same context, or None, which reads as -1 and no
     rows), and `_rows(sym, -1)` every row of sym the view holds, which a
     first join reads. `_parents(sym, pos, child)` must list the rows whose
-    child at pos is child. When the view reports no clashes, the sigs of
-    its chain must resolve each row to the class holding it.
+    child at pos is child. When the view reports no clashes, `_sig[row]`
+    must be the class holding each row, which a join whose root row is
+    fully bound probes instead of scanning.
     """
 
     def rows(v):
@@ -195,8 +196,8 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
             return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
     if not view.clashes:
         for n, c in held:
-            if view._holder(n) != c:
-                return f"the sig of {n} is not {c} at context {view.context}"
+            if view._sig.get(n) != c:
+                return f"_sig[{n}] is not {c} at context {view.context}"
     return None
 
 

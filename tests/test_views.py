@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxsat.assume import nested_conditional_program
 from ctxsat.dsl import run_source
 from ctxsat.egraph import ENode, FunctionSymbol, node_key
 from ctxsat.views import OnTheFlyProvider
@@ -271,20 +270,17 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
 
 
 def live_log(view):
-    """The entries of the view's own row log whose row its class holds."""
     return {
-        sym: [e for e in rows if e[1] in view.own.get(e[2], ())]
+        sym: [e for e in rows if e[1] in view.classes.get(e[2], ())]
         for sym, rows in view._log.items()
     }
 
 
-def test_a_new_context_reads_the_rows_of_its_cover_still_live_there():
-    """A first view above bottom is read through its one cover's current
-    view, or bottom's if it has several covers: `_rows(sym, -1)` lists the
-    rows of that view the new context still holds, and the rows of the
-    classes it owns. A context whose layer made no merge of its own owns
-    nothing and logs nothing."""
-    owning = 0
+def test_a_seeded_log_holds_the_live_entries_of_its_sources_log():
+    """A first view above bottom starts from its one cover's current view,
+    or from bottom's if it has several covers, with that view's row log
+    without the entries of rows the view no longer holds, in its order."""
+    dead = {"cover": 0, "bottom": 0}
     for seed in range(40):
         eg, _, _ = random_egraph(seed + 17000, 20, 3)
         eg.rebuild()
@@ -298,47 +294,14 @@ def test_a_new_context_reads_the_rows_of_its_cover_still_live_there():
         eg.rebuild()
         one = eg.declare_context("one", {left})
         both = eg.declare_context("both", {left, right})
-        for ctx, source in ((one, left), (both, BOTTOM)):
-            view, cover = eg.views.get(ctx), eg.views.get(source)
-            assert view._below[0] is cover, f"seed={seed} ctx={ctx}"
-            held = resolved(view)
-            for sym in eg.symbols():
-                live = {
-                    (n, c) for c, ns in resolved(cover).items() for n in ns
-                    if n.symbol == sym and n in held.get(c, ())
-                }
-                mine = {(n, c) for c, ns in view.own.items() for n in ns if n.symbol == sym}
-                got = view._rows(sym, -1)
-                assert len(got) == len(set(got)), f"seed={seed} ctx={ctx}"
-                assert set(got) == live | mine, f"seed={seed} ctx={ctx}"
-        assert not eg.views.get(one).own and not eg.views.get(one)._log
-        owning += bool(eg.views.get(both).own)
-    assert owning > 0
-
-
-def test_views_above_bottom_hold_only_their_difference_at_depth_32():
-    """After nested_conditional_program(32) the views above bottom hold
-    1,374 rows of their own, where copies of their covers' views held
-    8,478. A context whose layer merged nothing its cover had not merged
-    holds no class: a context declared over the deepest one, after the run,
-    whose view reads its cover's rows and nothing of its own."""
-    eg = run_source(nested_conditional_program(32)).engine.eg
-    lat = eg.lattice
-    rows = 0
-    for ctx in lat.ids():
-        if ctx == BOTTOM:
-            continue
-        view, (cover,) = eg.views.get(ctx), lat.covers(ctx)
-        rows += sum(map(len, view.own.values()))
-        if all(eg.find(cover, x) != x for x in eg.uf.lost[ctx]):
-            assert not view.own, lat.name(ctx)
-    assert rows <= 2000
-    deepest = max(lat.ids(), key=lambda c: lat.name(c).count("."))
-    probe = eg.declare_context("probe", {deepest})
-    eg.rebuild()
-    view = eg.views.get(probe)
-    assert not view.own and not view._log
-    assert resolved(view) == resolved(eg.views.get(deepest)) == resolved(build_view(eg, probe))
+        for ctx, source, kind in ((one, left, "cover"), (both, BOTTOM, "bottom")):
+            view = eg.views.get(source)
+            want = live_log(view)
+            dead[kind] += sum(len(rows) - len(want[sym]) for sym, rows in view._log.items())
+            seed_view = eg.views._seed(eg, ctx)
+            assert seed_view._log == want, f"seed={seed} ctx={ctx}"
+            assert seed_view.classes == view.classes, f"seed={seed} ctx={ctx}"
+    assert dead["cover"] > 0 and dead["bottom"] > 0
 
 
 def test_a_kept_row_whose_sig_entry_left_with_a_moved_copy_still_clashes():
