@@ -6,8 +6,10 @@ this checkout's perfbench/workloads.py (read-only) once for each, bound to
 that checkout's package. Every distinct op of the workload's seed-1 set-up
 then runs in ABBA order (A, B, B, A), with the garbage collector paused
 around each call and every op's own verdict checked. A round sums each
-side's times over all ops; its speed-up is A's sum over B's. Prints the
-median speed-up over the rounds and its quartiles:
+side's times over all ops, each weighted by how often a benchmark round
+runs it (`distinct_ops`), so that the sum stands for a benchmark round; its
+speed-up is A's sum over B's. Prints the median speed-up over the rounds
+and its quartiles:
 
     python3 scripts/ab_time.py --workload scopes --a ../before --b . --rounds 10
 
@@ -64,18 +66,22 @@ def load(root: Path, tag: str):
     return wl, aliases
 
 
-def distinct_ops(wl, aliases: dict, workload: str) -> list:
-    """The distinct ops of the workload's seed-1 set-up, in a fixed order."""
-    sys.modules.update(aliases)
+def distinct_ops(wl, workload: str) -> list[tuple[object, float]]:
+    """The distinct ops of the workload's seed-1 set-up, in a fixed order,
+    each with its weight: the times a benchmark round runs it, on average.
+    A round takes `count` of a kind's variants, so an op weighs
+    count / len(variants) for each variant of the kind that holds it, and
+    the weights sum to the ops of one round."""
     if workload == "deep":
-        return [wl.tower_op(32, 1), wl.tower_op(64, 1), wl.lambda_op([1, 2] * 3)]
-    ops, seen = [], set()
-    for op in wl.PREPARE[workload](1).rounds.all_ops():
-        key = getattr(op, "source", None) or (type(op).__name__, op.label)
-        if key not in seen:
-            seen.add(key)
-            ops.append(op)
-    return ops
+        return [(wl.tower_op(32, 1), 1.0), (wl.tower_op(64, 1), 1.0),
+                (wl.lambda_op([1, 2] * 3), 1.0)]
+    ops, weights = {}, {}
+    for variants, count in wl.PREPARE[workload](1).rounds.kinds:
+        for op in (op for variant in variants for op in variant):
+            key = getattr(op, "source", None) or (type(op).__name__, op.label)
+            ops.setdefault(key, op)
+            weights[key] = weights.get(key, 0.0) + count / len(variants)
+    return [(op, weights[key]) for key, op in ops.items()]
 
 
 def timed(op, aliases: dict) -> float:
@@ -101,18 +107,20 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     wl_a, aliases_a = load(args.a.resolve(), "a")
     wl_b, aliases_b = load(args.b.resolve(), "b")
-    ops_a = distinct_ops(wl_a, aliases_a, args.workload)
-    ops_b = distinct_ops(wl_b, aliases_b, args.workload)
-    labels = [op.label for op in ops_a]
-    if labels != [op.label for op in ops_b]:
+    sys.modules.update(aliases_a)
+    ops_a = distinct_ops(wl_a, args.workload)
+    sys.modules.update(aliases_b)
+    ops_b = distinct_ops(wl_b, args.workload)
+    labels = [(op.label, w) for op, w in ops_a]
+    if labels != [(op.label, w) for op, w in ops_b]:
         raise SystemExit("error: the two checkouts' workloads list different ops")
     ratios = []
     for _ in range(args.rounds):
         sum_a = sum_b = 0.0
-        for op_a, op_b in zip(ops_a, ops_b):
-            sum_a += timed(op_a, aliases_a)
-            sum_b += timed(op_b, aliases_b) + timed(op_b, aliases_b)
-            sum_a += timed(op_a, aliases_a)
+        for (op_a, w), (op_b, _) in zip(ops_a, ops_b):
+            sum_a += w * timed(op_a, aliases_a)
+            sum_b += w * (timed(op_b, aliases_b) + timed(op_b, aliases_b))
+            sum_a += w * timed(op_a, aliases_a)
         ratios.append(sum_a / sum_b)
         print(f"round {len(ratios)}: A {sum_a / 2:.3f} s, B {sum_b / 2:.3f} s, "
               f"speed-up x{ratios[-1]:.3f}", flush=True)

@@ -18,13 +18,23 @@ Commands:
     (check-equal <ctx> <t1> <t2>)
     (check-not-equal <ctx> <t1> <t2>)
     (extract <ctx> <t> [:forbid <name>])
+
+Parsing keeps no positions: one `_TOKEN.findall` scan turns a source into
+plain nested tuples (an atom is its text, a list form the tuple of its
+items), with no object per token. An error's line and column are worked out
+only when it is raised, by scanning the source again up to the failing
+form, and read as a positional parser would report them. A program's terms
+are built bottom-up without recursion and hash-consed per parse, by symbol
+and child identities, so equal terms within one program are one `Term`
+object: the root a check or an extract restates is the object its `term`
+command interned, which `EGraph.intern`'s identity memo answers at once.
+No step from source text to e-graph ids recurses on the depth of a term.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .egraph import Term
 from .errors import (
@@ -48,78 +58,132 @@ from .rewrite import (
     SaturationReport,
 )
 
-# s-expressions (named tuples, which a parse makes one per token)
+# s-expressions: an atom is its text, a list form the tuple of its items
 
 
-class Atom(NamedTuple):
-    text: str
-    line: int = 0
-    col: int = 0
+class _At(Exception):
+    """A parse error at parent[index], raised as `kind(message)` once
+    parse_program has worked out its line and column."""
 
 
-class SList(NamedTuple):
-    items: tuple
-    line: int = 0
-    col: int = 0
+# a parenthesis, an atom (a run of characters that are none of these) or a
+# comment; spaces, tabs, carriage returns and line breaks lie between
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 
 
-# a parenthesis, an atom (a run of characters that are none of these), a
-# comment or a line break; spaces, tabs and carriage returns lie between
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
-
-
-def parse_sexprs(source: str) -> list:
-    """All top-level s-expressions of the source, with positions (a column
-    counts characters from 1 at the start of its line)."""
+def _forms(source: str) -> list:
+    """The source's top-level s-expressions, without positions."""
     out: list = []
     items, stack = out, []
-    line, start = 1, 0  # start: where the line begins
-    for m in _TOKEN.finditer(source):
-        tok = m.group()
+    for tok in _TOKEN.findall(source):
         if tok == "(":
-            stack.append((items, line, m.start() - start + 1))
+            stack.append(items)
             items = []
         elif tok == ")":
             if not stack:
-                raise DslSyntaxError("unbalanced parenthesis", line, m.start() - start + 1)
-            outer, oline, ocol = stack.pop()
-            outer.append(SList(tuple(items), oline, ocol))
-            items = outer
-        elif tok == "\n":
-            line += 1
-            start = m.end()
+                _unbalanced(source)
+            form = tuple(items)
+            items = stack.pop()
+            items.append(form)
         elif tok[0] != ";":
-            items.append(Atom(tok, line, m.start() - start + 1))
+            items.append(tok)
     if stack:
-        _, oline, ocol = stack[-1]
-        raise DslSyntaxError("unclosed parenthesis", oline, ocol)
+        _unbalanced(source)
     return out
 
 
-def _sexp_to_term(sexp, allow_vars: bool) -> Term:
-    if isinstance(sexp, Atom):
-        if sexp.text.startswith("?") and not allow_vars:
-            raise DslSyntaxError(
-                f"pattern variable {sexp.text} not allowed here", sexp.line, sexp.col
-            )
-        return Term(sexp.text)
-    if not sexp.items or not isinstance(sexp.items[0], Atom):
-        raise DslSyntaxError("expected a symbol application", sexp.line, sexp.col)
-    head = sexp.items[0].text
-    if head.startswith("?"):
-        raise DslSyntaxError(
-            "a pattern variable cannot head an application", sexp.line, sexp.col
-        )
-    children = tuple(_sexp_to_term(s, allow_vars) for s in sexp.items[1:])
-    return Term(head, children)
+def _line_col(source: str, pos: int) -> tuple[int, int]:
+    """Line and column of a source offset (a column counts characters from
+    1 at the start of its line)."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
+def _unbalanced(source: str):
+    """Raise the error of a source whose parentheses do not balance."""
+    opens = []
+    for m in _TOKEN.finditer(source):
+        if m[0] == "(":
+            opens.append(m.start())
+        elif m[0] == ")":
+            if not opens:
+                raise DslSyntaxError("unbalanced parenthesis", *_line_col(source, m.start()))
+            opens.pop()
+    raise DslSyntaxError("unclosed parenthesis", *_line_col(source, opens[-1]))
+
+
+def _preorder(parent, indexes):
+    """(p, i) for each form p[i] of parent[indexes] and each item below it,
+    in the order a recursive descent visits them."""
+    todo = [(parent, i) for i in reversed(indexes)]
+    while todo:
+        p, i = todo.pop()
+        yield p, i
+        if type(p[i]) is tuple:
+            todo += [(p[i], j) for j in reversed(range(len(p[i])))]
+
+
+def _where(source: str, forms: list, parent, index: int) -> tuple[int, int]:
+    """Line and column of parent[index]: the forms' items in pre-order are
+    the source's atoms and opening parentheses in order."""
+    starts = (m.start() for m in _TOKEN.finditer(source) if m[0][0] not in ");")
+    for (p, i), pos in zip(_preorder(forms, range(len(forms))), starts):
+        if p is parent and i == index:
+            return _line_col(source, pos)
+
+
+def _term(parent, index: int, allow_vars: bool, cons: dict) -> Term:
+    """The term parent[index] stands for, hash-consed in `cons` by symbol
+    and child identities: its forms are listed parents first, each form's
+    last child first, then built in reverse, so a form's children's terms
+    end `built` in order. Neither step recurses."""
+    order, todo = [], [parent[index]]
+    while todo:
+        order.append(x := todo.pop())
+        if type(x) is str:
+            if x[0] == "?" and not allow_vars:
+                _term_error(parent, index, allow_vars)
+        elif not x or type(x[0]) is not str or x[0][0] == "?":
+            _term_error(parent, index, allow_vars)
+        else:
+            todo += x[1:]
+    built: list = []
+    for x in reversed(order):
+        if type(x) is str:
+            sym, kids = x, ()
+        else:
+            n = len(built) + 1 - len(x)
+            sym, kids = x[0], tuple(built[n:])
+            del built[n:]
+        key = (sym, *map(id, kids)) if kids else sym
+        t = cons.get(key)
+        if t is None:
+            t = cons[key] = Term(sym, kids)
+        built.append(t)
+    return built[0]
+
+
+def _term_error(parent, index: int, allow_vars: bool):
+    """Raise the error of the term form parent[index] that a recursive
+    descent would meet first."""
+    for p, i in _preorder(parent, [index]):
+        x = p[i]
+        if type(x) is str:
+            if x[0] == "?" and not allow_vars:
+                raise _At(DslSyntaxError, f"pattern variable {x} not allowed here", p, i)
+        elif not x or type(x[0]) is not str:
+            raise _At(DslSyntaxError, "expected a symbol application", p, i)
+        elif x[0][0] == "?":
+            raise _At(DslSyntaxError, "a pattern variable cannot head an application", p, i)
 
 
 def term_vars(t: Term) -> set[str]:
-    if t.symbol.startswith("?"):
-        return {t.symbol}
-    out: set[str] = set()
-    for c in t.children:
-        out |= term_vars(c)
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if t.symbol.startswith("?"):
+            out.add(t.symbol)
+        else:
+            todo += t.children
     return out
 
 
@@ -245,42 +309,39 @@ class Program:
         return "\n".join(c.to_sexpr() for c in self.commands) + "\n"
 
 
-def _expect_atom(sexp, what: str) -> str:
-    if not isinstance(sexp, Atom):
-        line, col = sexp.line, sexp.col
-        raise DslSyntaxError(f"expected {what}", line, col)
-    return sexp.text
+def _atom(form, i: int, what: str) -> str:
+    if type(form[i]) is not str:
+        raise _At(DslSyntaxError, f"expected {what}", form, i)
+    return form[i]
 
 
-def _expect_int(sexp, what: str) -> int:
-    text = _expect_atom(sexp, what)
+def _int(form, i: int, what: str) -> int:
+    text = _atom(form, i, what)
     try:
         return int(text)
     except ValueError:
-        raise DslSyntaxError(f"expected {what}, got {text!r}", sexp.line, sexp.col) from None
+        raise _At(DslSyntaxError, f"expected {what}, got {text!r}", form, i) from None
 
 
-def _arity(sexp: SList, low: int, high: int, usage: str):
-    n = len(sexp.items) - 1
+def _arity(at, low: int, high: int, usage: str):
+    n = len(at[0][at[1]]) - 1
     if not low <= n <= high:
-        raise CommandArityError(
+        raise _At(
+            CommandArityError,
             f"{usage} takes {low}{'' if low == high else f'..{high}'} arguments, got {n}",
-            sexp.line,
-            sexp.col,
+            *at,
         )
 
 
-def _parse_scope(items, sexp) -> RuleScope:
-    if len(items) == 1:
-        word = _expect_atom(items[0], "scope")
-        if word == "everywhere":
-            return Everywhere()
-        if word == "at-or-above":
-            raise DslSyntaxError("at-or-above needs a context name", sexp.line, sexp.col)
-        return AtContext(word)
-    if len(items) == 2 and _expect_atom(items[0], "scope") == "at-or-above":
-        return AtOrAbove(_expect_atom(items[1], "context name"))
-    raise DslSyntaxError("bad :scope specification", sexp.line, sexp.col)
+def _parse_scope(form, at) -> RuleScope:
+    """The scope words form[5:] of a rule form."""
+    word = _atom(form, 5, "scope")
+    if len(form) == 6 and word != "at-or-above":
+        return Everywhere() if word == "everywhere" else AtContext(word)
+    if len(form) == 7 and word == "at-or-above":
+        return AtOrAbove(_atom(form, 6, "context name"))
+    message = "at-or-above needs a context name" if len(form) == 6 else "bad :scope specification"
+    raise _At(DslSyntaxError, message, *at)
 
 
 COMMAND_NAMES = frozenset(
@@ -300,59 +361,58 @@ COMMAND_NAMES = frozenset(
 )
 
 
-def _build_command(sexp) -> Command:
-    if isinstance(sexp, Atom):
-        raise DslSyntaxError("expected a command list", sexp.line, sexp.col)
-    if not sexp.items or not isinstance(sexp.items[0], Atom):
-        raise DslSyntaxError("expected a command name", sexp.line, sexp.col)
-    head = sexp.items[0].text
-    args = sexp.items[1:]
+def _build_command(forms: list, k: int, cons: dict) -> Command:
+    """The command forms[k] stands for; its terms are hash-consed in cons."""
+    at = forms, k
+    form = forms[k]
+    if type(form) is str:
+        raise _At(DslSyntaxError, "expected a command list", *at)
+    if not form or type(form[0]) is not str:
+        raise _At(DslSyntaxError, "expected a command name", *at)
+    head = form[0]
     if head == "function":
-        _arity(sexp, 2, 2, "function")
-        name, arity = _expect_atom(args[0], "name"), _expect_int(args[1], "arity")
+        _arity(at, 2, 2, "function")
+        name, arity = _atom(form, 1, "name"), _int(form, 2, "arity")
         if arity < 0:
-            raise DslSyntaxError("arity must be >= 0", sexp.line, sexp.col)
+            raise _At(DslSyntaxError, "arity must be >= 0", *at)
         return FunctionCmd(name, arity)
     if head == "context":
-        _arity(sexp, 2, 2, "context")
-        name = _expect_atom(args[0], "name")
-        covers_form = args[1]
+        _arity(at, 2, 2, "context")
+        name = _atom(form, 1, "name")
+        covers_form = form[2]
         if (
-            not isinstance(covers_form, SList)
-            or not covers_form.items
-            or _expect_atom(covers_form.items[0], "covers") != "covers"
+            type(covers_form) is not tuple
+            or not covers_form
+            or _atom(covers_form, 0, "covers") != "covers"
         ):
-            raise DslSyntaxError("expected (covers <name> ...)", sexp.line, sexp.col)
-        covers = tuple(_expect_atom(a, "context name") for a in covers_form.items[1:])
+            raise _At(DslSyntaxError, "expected (covers <name> ...)", *at)
+        covers = tuple(_atom(covers_form, i, "context name") for i in range(1, len(covers_form)))
         return ContextCmd(name, covers)
     if head == "cost":
-        _arity(sexp, 2, 2, "cost")
-        name = _expect_atom(args[0], "name")
-        raw = _expect_atom(args[1], "value")
+        _arity(at, 2, 2, "cost")
+        name = _atom(form, 1, "name")
+        raw = _atom(form, 2, "value")
         try:
             value = float(raw)
         except ValueError:
-            raise DslSyntaxError(f"bad cost value {raw!r}", sexp.line, sexp.col) from None
+            raise _At(DslSyntaxError, f"bad cost value {raw!r}", *at) from None
         try:
             check_cost(value)
         except ValueError as e:
-            raise DslSyntaxError(str(e), sexp.line, sexp.col) from None
+            raise _At(DslSyntaxError, str(e), *at) from None
         return CostCmd(name, value)
-    if head == "scope-if":
-        _arity(sexp, 3, 4, "scope-if")
-        names = [_expect_atom(a, "symbol name") for a in args]
-        return ScopeIfCmd(*names)
-    if head == "scope-lambda":
-        _arity(sexp, 3, 3, "scope-lambda")
-        return ScopeLambdaCmd(*(_expect_atom(a, "symbol name") for a in args))
+    if head in ("scope-if", "scope-lambda"):
+        _arity(at, 3, 4 if head == "scope-if" else 3, head)
+        names = [_atom(form, i, "symbol name") for i in range(1, len(form))]
+        return ScopeIfCmd(*names) if head == "scope-if" else ScopeLambdaCmd(*names)
     if head == "rule":
-        _arity(sexp, 5, 6, "rule")
-        name = _expect_atom(args[0], "rule name")
-        lhs = _sexp_to_term(args[1], allow_vars=True)
-        rhs = _sexp_to_term(args[2], allow_vars=True)
-        if _expect_atom(args[3], ":scope") != ":scope":
-            raise DslSyntaxError("expected :scope", sexp.line, sexp.col)
-        scope = _parse_scope(list(args[4:]), sexp)
+        _arity(at, 5, 6, "rule")
+        name = _atom(form, 1, "rule name")
+        lhs = _term(form, 2, True, cons)
+        rhs = _term(form, 3, True, cons)
+        if _atom(form, 4, ":scope") != ":scope":
+            raise _At(DslSyntaxError, "expected :scope", *at)
+        scope = _parse_scope(form, at)
         unbound = term_vars(rhs) - term_vars(lhs)
         if unbound:
             raise UnboundRhsVariable(
@@ -361,39 +421,45 @@ def _build_command(sexp) -> Command:
             )
         return RuleCmd(name, lhs, rhs, scope)
     if head == "term":
-        _arity(sexp, 1, 1, "term")
-        return TermCmd(_sexp_to_term(args[0], allow_vars=False))
+        _arity(at, 1, 1, "term")
+        return TermCmd(_term(form, 1, False, cons))
     if head == "run":
-        _arity(sexp, 1, 1, "run")
-        n = _expect_int(args[0], "iteration count")
+        _arity(at, 1, 1, "run")
+        n = _int(form, 1, "iteration count")
         if n < 0:
-            raise DslSyntaxError("iteration count must be >= 0", sexp.line, sexp.col)
+            raise _At(DslSyntaxError, "iteration count must be >= 0", *at)
         return RunCmd(n)
     if head in ("check-equal", "check-not-equal"):
-        _arity(sexp, 3, 3, head)
+        _arity(at, 3, 3, head)
         return CheckCmd(
             head == "check-not-equal",
-            _expect_atom(args[0], "context name"),
-            _sexp_to_term(args[1], allow_vars=False),
-            _sexp_to_term(args[2], allow_vars=False),
+            _atom(form, 1, "context name"),
+            _term(form, 2, False, cons),
+            _term(form, 3, False, cons),
         )
     if head == "extract":
-        _arity(sexp, 2, 4, "extract")
-        ctx = _expect_atom(args[0], "context name")
-        t = _sexp_to_term(args[1], allow_vars=False)
+        _arity(at, 2, 4, "extract")
+        ctx = _atom(form, 1, "context name")
+        t = _term(form, 2, False, cons)
         forbid = None
-        rest = args[2:]
-        if rest:
-            if len(rest) != 2 or _expect_atom(rest[0], ":forbid") != ":forbid":
-                raise DslSyntaxError("expected :forbid <name>", sexp.line, sexp.col)
-            forbid = _expect_atom(rest[1], "symbol name")
+        if len(form) > 3:
+            if len(form) != 5 or _atom(form, 3, ":forbid") != ":forbid":
+                raise _At(DslSyntaxError, "expected :forbid <name>", *at)
+            forbid = _atom(form, 4, "symbol name")
         return ExtractCmd(ctx, t, forbid)
     assert head not in COMMAND_NAMES
-    raise UnknownCommand(f"unknown command {head!r}", sexp.line, sexp.col)
+    raise _At(UnknownCommand, f"unknown command {head!r}", *at)
 
 
 def parse_program(source: str) -> Program:
-    return Program(tuple(_build_command(s) for s in parse_sexprs(source)))
+    """The program a source spells. Equal terms within it are one object.
+    An error's line and column are worked out only once it is raised."""
+    forms, cons = _forms(source), {}
+    try:
+        return Program(tuple(_build_command(forms, k, cons) for k in range(len(forms))))
+    except _At as e:
+        kind, message, parent, index = e.args
+        raise kind(message, *_where(source, forms, parent, index)) from None
 
 
 # execution
@@ -450,10 +516,19 @@ class RunOutput:
 
 
 def _term_to_pattern(engine: Engine, t: Term):
-    if t.symbol.startswith("?"):
-        return PatternVar(t.symbol[1:])
-    sym = engine.eg.symbol(t.symbol, len(t.children))
-    return PatternApp(sym, tuple(_term_to_pattern(engine, c) for c in t.children))
+    # symbols are looked up in pre-order, so the first unknown one raises
+    out, todo = [], [(t, None)]
+    while todo:
+        t, sym = todo.pop()
+        if sym is not None:
+            k = len(out) - sym.arity
+            out[k:] = [PatternApp(sym, tuple(out[k:]))]
+        elif t.symbol.startswith("?"):
+            out.append(PatternVar(t.symbol[1:]))
+        else:
+            todo.append((t, engine.eg.symbol(t.symbol, len(t.children))))
+            todo += [(c, None) for c in reversed(t.children)]
+    return out[0]
 
 
 def execute(

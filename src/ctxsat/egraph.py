@@ -28,10 +28,20 @@ add_node hash-conses against is re-keyed from the rows of the bottom view
 each bottom repair leaves. The cache holds the e-graph weakly, so the two
 form no reference cycle and reference counting frees them.
 
-FunctionSymbol and ENode are named tuples, hashed and compared in C (an
-ENode equals a plain tuple with the same fields). Ids are checked once, at
+FunctionSymbol, ENode and Term are named tuples, hashed and compared in C
+(each equals the plain tuple with the same fields). Ids are checked once, at
 the public entry points; the engine's own adds go through `_add`, which
 trusts its ids and builds an ENode only for a node it stores.
+
+`intern` keeps a memo keyed by object identity: for each term object it was
+called on, the term and the class it was interned into. An entry holds its
+term, so no other object can take that id while the entry lives, and a hit
+returns the bottom root of the stored class, which stays the term's class
+because ids only ever merge. So a term restated by object (the DSL
+hash-conses a program's terms per parse) costs one dict probe, even between
+a bottom merge and the next rebuild, when a walk over the node store's old
+keys could add a duplicate node. The memo never compares terms by value,
+which for a deep tuple term would recurse in C.
 
 `term_in_class` reads the cached view and walks its term without
 recursion, so a term of any depth is found.
@@ -42,7 +52,6 @@ mutations (stats, class_nodes, find) are safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -78,17 +87,28 @@ def node_key(node: ENode):
     return (node.symbol.name, node.symbol.arity, node.children)
 
 
-@dataclass(frozen=True)
-class Term:
-    """A ground tree-shaped term, by symbol name (resolved at intern time)."""
+class Term(NamedTuple):
+    """A ground tree-shaped term, by symbol name (resolved at intern time).
+    Equal to the plain tuple (symbol, children)."""
 
     symbol: str
     children: tuple["Term", ...] = ()
 
     def __str__(self):
-        if not self.children:
-            return self.symbol
-        return f"({self.symbol} {' '.join(map(str, self.children))})"
+        # without recursion, so a term of any depth prints; `todo` holds the
+        # terms still to print, each after a space, and closing parentheses
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+            elif t.children:
+                out.append(" (" + t.symbol)
+                todo.append(")")
+                todo += t.children[::-1]
+            else:
+                out.append(" " + t.symbol)
+        return "".join(out)[1:]
 
 
 def term(symbol: str, *children: Term) -> Term:
@@ -107,6 +127,9 @@ class EGraph:
         self._rebuilt_at = 0
         # id -> the node it was created for, as add_node saw it
         self.created: list[ENode] = []
+        # id(term) -> (term, its class when interned), for each term intern
+        # was called on; an entry holds its term, so the id stays its own
+        self._interned: dict[int, tuple[Term, ClassId]] = {}
         from .views import ViewCache  # views imports this module
 
         self.views = ViewCache(self)
@@ -186,17 +209,24 @@ class EGraph:
 
         Returns a bottom representative: apply find(ctx, .) before any
         context-sensitive comparison. Iterative, in post-order with children
-        left to right, so any depth interns.
+        left to right, so any depth interns. A term object interned before
+        costs one probe of the identity memo: its class then is still its
+        class, as ids only merge, and the memo never compares terms by value.
         """
+        hit = self._interned.get(id(t))
+        if hit is not None:
+            return self.uf._base_find(hit[1])
+        # parents first, each one's last child first: reversed, that is
+        # post-order with children left to right
+        order, todo = [], [t]
+        while todo:
+            order.append(x := todo.pop())
+            todo += x.children
         ids: list[ClassId] = []
-        stack = [(t, False)]
-        while stack:
-            t, ready = stack.pop()
-            if ready:
-                k = len(ids) - len(t.children)
-                ids[k:] = [self._add(self.symbol(t.symbol, len(t.children)), tuple(ids[k:]))]
-            else:
-                stack += [(t, True), *((c, False) for c in reversed(t.children))]
+        for x in reversed(order):
+            k = len(ids) - len(x.children)
+            ids[k:] = [self._add(self.symbol(x.symbol, len(x.children)), tuple(ids[k:]))]
+        self._interned[id(t)] = t, ids[0]
         return ids[0]
 
     def merge(self, ctx: ContextId, a: ClassId, b: ClassId) -> ClassId:

@@ -49,7 +49,18 @@ class CostModel:
         self.costs[name] = value
 
     def term_cost(self, t: Term) -> float:
-        return self.of(t.symbol) + sum(self.term_cost(c) for c in t.children)
+        """A node's cost plus its children's, summed left to right, without
+        recursion: listed parents first, each one's last child first, the
+        subterms reversed come in post-order with children left to right."""
+        order, todo = [], [t]
+        while todo:
+            order.append(x := todo.pop())
+            todo += x.children
+        costs: list[float] = []
+        for x in reversed(order):
+            k = len(costs) - len(x.children)
+            costs[k:] = [self.of(x.symbol) + sum(costs[k:])]
+        return costs[0]
 
 
 @dataclass(frozen=True)

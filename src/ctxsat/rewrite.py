@@ -93,11 +93,13 @@ Pattern = PatternVar | PatternApp
 
 
 def pattern_vars(p: Pattern) -> set[str]:
-    if isinstance(p, PatternVar):
-        return {p.name}
-    out: set[str] = set()
-    for a in p.args:
-        out |= pattern_vars(a)
+    out, todo = set(), [p]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, PatternVar):
+            out.add(p.name)
+        else:
+            todo += p.args
     return out
 
 
@@ -557,18 +559,22 @@ class _Query(NamedTuple):
 
 
 def _compile(pattern: Pattern) -> _Query:
-    atoms: list = []
-    slots: dict[str, int] = {}
-
-    def visit(p: Pattern) -> int:
-        if isinstance(p, PatternVar):
-            return slots.setdefault(p.name, len(slots) + len(atoms))
-        i, out = len(atoms), len(slots) + len(atoms)
-        atoms.append(None)
-        atoms[i] = (p.symbol, tuple(visit(a) for a in p.args), out)
-        return out
-
-    visit(pattern)
+    # pre-order without recursion: a var's slot is its first visit's, an
+    # application's atom is filled in once its args' slots end `vals`
+    atoms, slots, vals, todo = [], {}, [], [(pattern, None)]
+    while todo:
+        p, i = todo.pop()
+        if i is not None:
+            k = len(vals) - len(p.args)
+            atoms[i] = (p.symbol, tuple(vals[k:]), vals[k - 1])
+            del vals[k:]
+        elif isinstance(p, PatternVar):
+            vals.append(slots.setdefault(p.name, len(slots) + len(atoms)))
+        else:
+            vals.append(len(slots) + len(atoms))
+            todo.append((p, len(atoms)))
+            atoms.append(None)
+            todo += [(a, None) for a in reversed(p.args)]
     consts = tuple(i for i, atom in enumerate(atoms) if i and not atom[1])
     names = sorted(slots)
     return _Query(atoms, consts, names, plan_join(atoms, consts, [slots[n] for n in names]))
@@ -581,13 +587,15 @@ def _compile_rhs(pattern: Pattern, names: list) -> tuple[list, int]:
     steps' classes (the root at 0, the variables in name order from 1, then
     step i at 1 + len(names) + i). Also the position of its class."""
     at = {name: k for k, name in enumerate(names, 1)}
-    steps: list = []
-
-    def visit(p: Pattern) -> int:
+    steps, vals, todo = [], [], [(pattern, False)]
+    while todo:
+        p, ready = todo.pop()
         if isinstance(p, PatternVar):
-            return at[p.name]
-        args = tuple(visit(a) for a in p.args)
-        steps.append((p.symbol, args))
-        return len(at) + len(steps)
-
-    return steps, visit(pattern)
+            vals.append(at[p.name])
+        elif ready:
+            k = len(vals) - len(p.args)
+            steps.append((p.symbol, tuple(vals[k:])))
+            vals[k:] = [len(at) + len(steps)]
+        else:
+            todo += [(p, True), *((a, False) for a in reversed(p.args))]
+    return steps, vals[0]

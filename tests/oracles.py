@@ -2,18 +2,37 @@
 
 Everything here is deliberately naive: closures are computed by BFS over
 explicit pair sets, congruence by a global fixpoint over all node pairs, and
-pattern matching / extraction by bounded enumeration. None of it shares code
-with the engine.
+pattern matching / extraction by bounded enumeration, and the reference
+parser reads positions as it goes. None of it shares logic with the engine;
+the parser builds the DSL's own command types, so results compare by value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import defaultdict
+from typing import NamedTuple
 
+from ctxsat.dsl import (
+    CheckCmd,
+    ContextCmd,
+    CostCmd,
+    ExtractCmd,
+    FunctionCmd,
+    Program,
+    RuleCmd,
+    RunCmd,
+    ScopeIfCmd,
+    ScopeLambdaCmd,
+    TermCmd,
+)
 from ctxsat.egraph import Term
+from ctxsat.errors import CommandArityError, DslSyntaxError, UnboundRhsVariable, UnknownCommand
+from ctxsat.extract import check_cost
 from ctxsat.lattice import ContextLattice
+from ctxsat.rewrite import AtContext, AtOrAbove, Everywhere
 
 
 def closure_blocks(n: int, pairs) -> frozenset[frozenset[int]]:
@@ -243,3 +262,222 @@ def whole_view_extraction(classes, root, cost_of, banned=()):
         return None
 
     return cost[root], build(root, frozenset())
+
+
+# --- the reference parser -------------------------------------------------
+# A positional recursive-descent parser: every atom and list carries its
+# line and column as it is read, and errors take theirs from the form at
+# hand. `ctxsat.dsl.parse_program` must return the same commands and raise
+# the same errors, with the same messages and positions.
+
+
+class Atom(NamedTuple):
+    text: str
+    line: int = 0
+    col: int = 0
+
+
+class SList(NamedTuple):
+    items: tuple
+    line: int = 0
+    col: int = 0
+
+
+# a parenthesis, an atom (a run of characters that are none of these), a
+# comment or a line break; spaces, tabs and carriage returns lie between
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
+
+def parse_sexprs(source: str) -> list:
+    """All top-level s-expressions of the source, with positions (a column
+    counts characters from 1 at the start of its line)."""
+    out: list = []
+    items, stack = out, []
+    line, start = 1, 0  # start: where the line begins
+    for m in _TOKEN.finditer(source):
+        tok = m.group()
+        if tok == "(":
+            stack.append((items, line, m.start() - start + 1))
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise DslSyntaxError("unbalanced parenthesis", line, m.start() - start + 1)
+            outer, oline, ocol = stack.pop()
+            outer.append(SList(tuple(items), oline, ocol))
+            items = outer
+        elif tok == "\n":
+            line += 1
+            start = m.end()
+        elif tok[0] != ";":
+            items.append(Atom(tok, line, m.start() - start + 1))
+    if stack:
+        _, oline, ocol = stack[-1]
+        raise DslSyntaxError("unclosed parenthesis", oline, ocol)
+    return out
+
+
+def _sexp_to_term(sexp, allow_vars: bool) -> Term:
+    if isinstance(sexp, Atom):
+        if sexp.text.startswith("?") and not allow_vars:
+            raise DslSyntaxError(
+                f"pattern variable {sexp.text} not allowed here", sexp.line, sexp.col
+            )
+        return Term(sexp.text)
+    if not sexp.items or not isinstance(sexp.items[0], Atom):
+        raise DslSyntaxError("expected a symbol application", sexp.line, sexp.col)
+    head = sexp.items[0].text
+    if head.startswith("?"):
+        raise DslSyntaxError(
+            "a pattern variable cannot head an application", sexp.line, sexp.col
+        )
+    children = tuple(_sexp_to_term(s, allow_vars) for s in sexp.items[1:])
+    return Term(head, children)
+
+
+def term_vars(t: Term) -> set[str]:
+    if t.symbol.startswith("?"):
+        return {t.symbol}
+    out: set[str] = set()
+    for c in t.children:
+        out |= term_vars(c)
+    return out
+
+
+
+
+def _expect_atom(sexp, what: str) -> str:
+    if not isinstance(sexp, Atom):
+        line, col = sexp.line, sexp.col
+        raise DslSyntaxError(f"expected {what}", line, col)
+    return sexp.text
+
+
+def _expect_int(sexp, what: str) -> int:
+    text = _expect_atom(sexp, what)
+    try:
+        return int(text)
+    except ValueError:
+        raise DslSyntaxError(f"expected {what}, got {text!r}", sexp.line, sexp.col) from None
+
+
+def _arity(sexp: SList, low: int, high: int, usage: str):
+    n = len(sexp.items) - 1
+    if not low <= n <= high:
+        raise CommandArityError(
+            f"{usage} takes {low}{'' if low == high else f'..{high}'} arguments, got {n}",
+            sexp.line,
+            sexp.col,
+        )
+
+
+def _parse_scope(items, sexp):
+    if len(items) == 1:
+        word = _expect_atom(items[0], "scope")
+        if word == "everywhere":
+            return Everywhere()
+        if word == "at-or-above":
+            raise DslSyntaxError("at-or-above needs a context name", sexp.line, sexp.col)
+        return AtContext(word)
+    if len(items) == 2 and _expect_atom(items[0], "scope") == "at-or-above":
+        return AtOrAbove(_expect_atom(items[1], "context name"))
+    raise DslSyntaxError("bad :scope specification", sexp.line, sexp.col)
+
+
+
+
+def _build_command(sexp):
+    if isinstance(sexp, Atom):
+        raise DslSyntaxError("expected a command list", sexp.line, sexp.col)
+    if not sexp.items or not isinstance(sexp.items[0], Atom):
+        raise DslSyntaxError("expected a command name", sexp.line, sexp.col)
+    head = sexp.items[0].text
+    args = sexp.items[1:]
+    if head == "function":
+        _arity(sexp, 2, 2, "function")
+        name, arity = _expect_atom(args[0], "name"), _expect_int(args[1], "arity")
+        if arity < 0:
+            raise DslSyntaxError("arity must be >= 0", sexp.line, sexp.col)
+        return FunctionCmd(name, arity)
+    if head == "context":
+        _arity(sexp, 2, 2, "context")
+        name = _expect_atom(args[0], "name")
+        covers_form = args[1]
+        if (
+            not isinstance(covers_form, SList)
+            or not covers_form.items
+            or _expect_atom(covers_form.items[0], "covers") != "covers"
+        ):
+            raise DslSyntaxError("expected (covers <name> ...)", sexp.line, sexp.col)
+        covers = tuple(_expect_atom(a, "context name") for a in covers_form.items[1:])
+        return ContextCmd(name, covers)
+    if head == "cost":
+        _arity(sexp, 2, 2, "cost")
+        name = _expect_atom(args[0], "name")
+        raw = _expect_atom(args[1], "value")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DslSyntaxError(f"bad cost value {raw!r}", sexp.line, sexp.col) from None
+        try:
+            check_cost(value)
+        except ValueError as e:
+            raise DslSyntaxError(str(e), sexp.line, sexp.col) from None
+        return CostCmd(name, value)
+    if head == "scope-if":
+        _arity(sexp, 3, 4, "scope-if")
+        names = [_expect_atom(a, "symbol name") for a in args]
+        return ScopeIfCmd(*names)
+    if head == "scope-lambda":
+        _arity(sexp, 3, 3, "scope-lambda")
+        return ScopeLambdaCmd(*(_expect_atom(a, "symbol name") for a in args))
+    if head == "rule":
+        _arity(sexp, 5, 6, "rule")
+        name = _expect_atom(args[0], "rule name")
+        lhs = _sexp_to_term(args[1], allow_vars=True)
+        rhs = _sexp_to_term(args[2], allow_vars=True)
+        if _expect_atom(args[3], ":scope") != ":scope":
+            raise DslSyntaxError("expected :scope", sexp.line, sexp.col)
+        scope = _parse_scope(list(args[4:]), sexp)
+        unbound = term_vars(rhs) - term_vars(lhs)
+        if unbound:
+            raise UnboundRhsVariable(
+                f"rule {name!r}: rhs variables {sorted(unbound)} "
+                f"do not appear in the lhs"
+            )
+        return RuleCmd(name, lhs, rhs, scope)
+    if head == "term":
+        _arity(sexp, 1, 1, "term")
+        return TermCmd(_sexp_to_term(args[0], allow_vars=False))
+    if head == "run":
+        _arity(sexp, 1, 1, "run")
+        n = _expect_int(args[0], "iteration count")
+        if n < 0:
+            raise DslSyntaxError("iteration count must be >= 0", sexp.line, sexp.col)
+        return RunCmd(n)
+    if head in ("check-equal", "check-not-equal"):
+        _arity(sexp, 3, 3, head)
+        return CheckCmd(
+            head == "check-not-equal",
+            _expect_atom(args[0], "context name"),
+            _sexp_to_term(args[1], allow_vars=False),
+            _sexp_to_term(args[2], allow_vars=False),
+        )
+    if head == "extract":
+        _arity(sexp, 2, 4, "extract")
+        ctx = _expect_atom(args[0], "context name")
+        t = _sexp_to_term(args[1], allow_vars=False)
+        forbid = None
+        rest = args[2:]
+        if rest:
+            if len(rest) != 2 or _expect_atom(rest[0], ":forbid") != ":forbid":
+                raise DslSyntaxError("expected :forbid <name>", sexp.line, sexp.col)
+            forbid = _expect_atom(rest[1], "symbol name")
+        return ExtractCmd(ctx, t, forbid)
+    raise UnknownCommand(f"unknown command {head!r}", sexp.line, sexp.col)
+
+
+def reference_parse_program(source: str) -> Program:
+    """Commands as `ctxsat.dsl.parse_program` returns them, or its error."""
+    return Program(tuple(_build_command(s) for s in parse_sexprs(source)))
+
+

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import subprocess
 import sys
 import weakref
@@ -10,11 +11,14 @@ from ctxsat.corpus import CORPUS_NAMES, corpus_path, corpus_source
 from ctxsat.dsl import RunCmd, parse_program, run_source
 from ctxsat.errors import (
     CommandArityError,
+    CtxSatError,
     DslError,
     DslSyntaxError,
     UnboundRhsVariable,
     UnknownCommand,
 )
+
+from oracles import reference_parse_program
 
 
 def test_all_corpora_parse():
@@ -30,6 +34,103 @@ def test_parse_positions_on_error():
     with pytest.raises(DslSyntaxError) as e:
         parse_program("(term (f a)))")
     assert e.value.line == 1 and e.value.col == 13
+
+
+# the characters the tokenizer tells apart, and the command words and
+# arguments that reach each of the command builder's checks
+FUZZ_CHARS = ["(", ")", "a", "b", " ", ";", "\n", "\t", "\r", "\f", "é", "?x1"]
+FUZZ_ARITIES = {
+    "function": (2, 2), "context": (2, 2), "cost": (2, 2), "scope-if": (3, 4),
+    "scope-lambda": (3, 3), "rule": (5, 6), "term": (1, 1), "run": (1, 1),
+    "check-equal": (3, 3), "check-not-equal": (3, 3), "extract": (2, 4), "covers": (0, 2),
+}
+FUZZ_WORDS = [
+    "a", "b", "?x1", "bot", "1", "-1", "2.5", "inf", ":scope", ":forbid",
+    "everywhere", "at-or-above", "covers", "é",
+]
+
+
+def fuzz_form(rng, depth=0):
+    """A command form with about the right number of arguments, each an
+    atom, a term or another command-like form."""
+    if depth and rng.random() < 0.6:
+        return rng.choice(FUZZ_WORDS)
+    if depth == 0 or rng.random() < 0.3:
+        head = rng.choice(list(FUZZ_ARITIES))
+        low, high = FUZZ_ARITIES[head]
+        n = rng.randint(low, high) if rng.random() < 0.8 else rng.randint(0, 6)
+    else:
+        head, n = rng.choice(["f", "a", "?x1", "()"]), rng.randint(0, 3)
+    items = [head] + [fuzz_form(rng, depth + 1) for _ in range(n if depth < 4 else 0)]
+    gaps = [rng.choice([" ", " ", "\n", "\t ", " ; c\n"]) for _ in items]
+    return "(" + "".join(g + x for g, x in zip(gaps, items)).lstrip(" ") + ")"
+
+
+def fuzz_source(rng):
+    if rng.random() < 0.3:
+        return "".join(rng.choice(FUZZ_CHARS) for _ in range(rng.randint(0, 30)))
+    text = "\n".join(fuzz_form(rng) for _ in range(rng.randint(1, 3)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(FUZZ_CHARS) + text[i:]
+    return text
+
+
+def parse_outcome(parse, source):
+    """The commands, or the error's class, message, line and column."""
+    try:
+        return parse(source).commands
+    except CtxSatError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def test_parser_agrees_with_the_positional_reference_on_fuzzed_sources():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2000):
+        source = fuzz_source(rng)
+        got = parse_outcome(parse_program, source)
+        assert got == parse_outcome(reference_parse_program, source), repr(source)
+        seen.add(got[0] if got and isinstance(got[0], type) else bool(got))
+    assert seen == {True, False, DslSyntaxError, CommandArityError, UnknownCommand}
+
+
+@pytest.mark.parametrize("source, error, line, col, message", [
+    # a command after forms that span lines
+    ("(function f 1) (function a 0)\n(term (f\n  a)) (run\n 1 2)",
+     CommandArityError, 3, 7, "run takes 1 arguments, got 2"),
+    # a nested form of a term
+    ("(function f 2)\n(term (f a\n   (f () b)))",
+     DslSyntaxError, 3, 7, "expected a symbol application"),
+    ("(function f 1)\n(term (f\n\t?x))", DslSyntaxError, 3, 2, "pattern variable ?x not allowed here"),
+    ("(function a 0)\n  (rule r a a\n :scope (everywhere))", DslSyntaxError, 3, 9, "expected scope"),
+    ("(function a 0)\n\n  (rule r a a :scope at-or-above)",
+     DslSyntaxError, 3, 3, "at-or-above needs a context name"),
+    ("(function a 0)\n\n  (rule r a a :scope x y)", DslSyntaxError, 3, 3, "bad :scope specification"),
+    ("(term a)\n(extract bot a\n  :forbid)", DslSyntaxError, 2, 1, "expected :forbid <name>"),
+    ("(term a)\n(extract bot a :forbid\n  (x))", DslSyntaxError, 3, 3, "expected symbol name"),
+    ("(context c (covers bot (d)))", DslSyntaxError, 1, 24, "expected context name"),
+])
+def test_errors_raised_while_building_a_command_carry_their_form_position(
+    source, error, line, col, message
+):
+    with pytest.raises(error) as e:
+        parse_program(source)
+    assert (e.value.line, e.value.col, str(e.value)) == (line, col, f"{line}:{col}: {message}")
+    assert parse_outcome(reference_parse_program, source) == (error, str(e.value), line, col)
+
+
+def test_equal_terms_within_a_parse_are_one_object():
+    term, check, rule, extract = parse_program(
+        "(term (f a (g a))) (check-equal bot (f a (g a)) (g a))\n"
+        "(rule r (g ?x) (g (a)) :scope everywhere) (extract bot (f a (g a)))"
+    ).commands
+    assert check.left is term.term is extract.term
+    assert check.right is term.term.children[1] is rule.rhs
+    assert term.term.children[0] is term.term.children[1].children[0]
+    assert rule.lhs.children[0] is not term.term.children[0]
+    again = parse_program("(term (f a (g a)))").commands[0]
+    assert again.term == term.term and again.term is not term.term
 
 
 def test_unknown_command_and_arity_errors():
@@ -184,17 +285,29 @@ def test_cli_run_pass_and_fail(tmp_path):
 
 
 def test_cli_parse_error_exit_code(tmp_path):
-    deep = "(f " * 1500 + "a" + ")" * 1500
-    for source in [
-        "(term (f a)\n",
-        f"(function f 1) (function a 0) (term {deep})\n",
-    ]:
-        bad = tmp_path / "bad.ctx"
-        bad.write_text(source)
-        res = cli("run", str(bad))
-        assert res.returncode == 2
-        assert res.stderr.startswith("error")
-        assert "Traceback" not in res.stderr
+    bad = tmp_path / "bad.ctx"
+    bad.write_text("(term (f a)\n")
+    res = cli("run", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error")
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_runs_a_deep_term_end_to_end(tmp_path):
+    # parsing, interning, the check's label and extraction recurse on no depth
+    deep = "(f " * 3000 + "a" + ")" * 3000
+    src = tmp_path / "deep.ctx"
+    src.write_text(
+        f"(function f 1) (function a 0) (term {deep})\n"
+        f"(check-equal bot {deep} {deep})\n(extract bot {deep})\n"
+    )
+    res = cli("run", str(src))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        f"PASS  check-equal bot {deep} {deep}",
+        f"extract  {deep}  cost=3001",
+        "iterations=0 saturated=False checks=1/1",
+    ]
 
 
 def test_cli_program_not_utf8_exits_2(tmp_path):

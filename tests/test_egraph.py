@@ -118,6 +118,46 @@ def test_intern_takes_any_depth():
     assert eg.intern(t) == top and len(eg.uf) == 5001
 
 
+def test_reinterning_a_term_after_a_bottom_merge_adds_no_id():
+    # with no rebuild, the node store is keyed by the old representatives,
+    # so a walk would look up (f b) for (f a) and make a duplicate
+    eg = EGraph()
+    for name, arity in [("e", 0), ("b", 0), ("a", 0), ("f", 1)]:
+        eg.declare_function(name, arity)
+    e, b = eg.intern(term("e")), eg.intern(term("b"))
+    t = term("f", term("a"))
+    c = eg.intern(t)
+    eg.merge(BOTTOM, eg.intern(term("a")), b)
+    eg.merge(BOTTOM, c, e)
+    n = len(eg.uf)
+    assert eg.intern(t) == eg.find(BOTTOM, c) == e
+    assert len(eg.uf) == n
+
+
+def test_a_deep_term_interned_twice_is_one_class():
+    eg = EGraph()
+    eg.declare_function("f", 1)
+    eg.declare_function("a", 0)
+    terms = []
+    for _ in range(2):
+        t = Term("a")
+        for _ in range(3000):
+            t = Term("f", (t,))
+        terms.append(t)
+    assert terms[0] is not terms[1]
+    assert eg.intern(terms[0]) == eg.intern(terms[1]) == 3000
+    assert len(eg.uf) == 3001
+
+
+def test_terms_are_tuples():
+    t = term("f", term("a"), term("g", term("b")))
+    assert t == ("f", (("a", ()), ("g", (("b", ()),))))
+    assert Term("a") == Term("a", ()) == ("a", ())
+    assert str(t) == "(f a (g b))"
+    with pytest.raises(AttributeError):
+        t.symbol = "g"
+
+
 def test_intern_numbers_ids_in_post_order():
     eg, then = arith_graph()
     t = term("mul", term("shift", term("x")), term("mul", term("y"), term("x")))

@@ -265,8 +265,8 @@ def test_extract_from_view_agrees_with_a_whole_view_fixpoint():
 
 
 def test_a_deep_term_extracts_without_recursion():
-    """A 3,000-deep (f ... (f a)) extracts; the term is read back without
-    recursion, as comparing or printing it would recurse."""
+    """A 3,000-deep (f ... (f a)) extracts, costs and prints; the term is
+    read back without recursion, as comparing it would recurse."""
     eg = EGraph()
     eg.declare_function("f", 1)
     eg.declare_function("a", 0)
@@ -280,3 +280,5 @@ def test_a_deep_term_extracts_without_recursion():
         (t,) = t.children
         depth += 1
     assert depth == 3000 and t == term("a")
+    assert CostModel().term_cost(got.term) == 3001
+    assert str(got.term) == "(f " * 3000 + "a" + ")" * 3000

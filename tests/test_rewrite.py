@@ -21,8 +21,7 @@ from ctxsat import (
 from ctxsat.assume import nested_conditional_program
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
 from ctxsat.dsl import (
-    Program, RunCmd, _sexp_to_term, _term_to_pattern, execute, parse_program, parse_sexprs,
-    run_source,
+    Program, RunCmd, _forms, _term, _term_to_pattern, execute, parse_program, run_source,
 )
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from ctxsat.rewrite import pattern_vars
@@ -251,7 +250,7 @@ def constant_graph(seed):
 
 def parse_term(text):
     """A term, variables allowed, from its DSL text."""
-    return _sexp_to_term(parse_sexprs(text)[0], allow_vars=True)
+    return _term(_forms(text), 0, True, {})
 
 
 CONSTANT_PATTERNS = [
