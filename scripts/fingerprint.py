@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Print one digest per program, so two revisions can be compared by diff.
 
-The programs are the seven shipped corpora and the distinct programs of the
+The programs are the seven shipped corpora, the distinct programs of the
 benchmark's `scopes` and `ac` workloads at seed 1 (`prepare_scopes(1)`,
-`prepare_ac(1)` in perfbench/workloads.py, imported read-only). Each output
+`prepare_ac(1)` in perfbench/workloads.py, imported read-only), and one
+program per graph of its `query` workload at seed 1: the graph's program
+followed by every check and extract directive the workload asks of it,
+each alternative set included, labelled `query-<graph>`. Each output
 line is a label and two sha256 digests. The first is over everything a run
 leaves observable: the `--json` report, the extracts, `export_dot` and
 `stats` at every context, the numbers of ids and stored nodes, and the
@@ -47,6 +50,13 @@ def programs() -> list[tuple[str, str]]:
             seen.add(op.source)
             k = count[op.label] = count.get(op.label, 0) + 1
             out.append((op.label if k == 1 else f"{op.label}#{k}", op.source))
+    for graph in workloads.query_graphs(workloads.rng_for("query", 1, "inputs")):
+        checks, extracts = list(graph.checks), list(graph.extracts)
+        for more_checks, more_extracts in graph.variants:
+            checks += more_checks
+            extracts += more_extracts
+        directives = "\n".join(checks + [text for text, _ in extracts])
+        out.append((f"query-{graph.program.label}", f"{graph.program.source}{directives}\n"))
     return out
 
 

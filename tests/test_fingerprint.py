@@ -1,8 +1,8 @@
 """`scripts/fingerprint.py` output, pinned: one line per program, two digests.
 
 The digests cover everything a run leaves observable (see the script), over
-the corpora and the benchmark's `scopes` and `ac` programs, and they do not
-depend on the hash seed. Regenerate tests/golden/fingerprints.txt only for a
+the corpora, the benchmark's `scopes` and `ac` programs and its `query`
+graphs with their directives, and they do not depend on the hash seed. Regenerate tests/golden/fingerprints.txt only for a
 deliberate change to what runs compute, or to those programs, and list the
 lines that changed:
 
