@@ -72,13 +72,25 @@ def _validate(program: Program) -> ScopeIfCmd | None:
 
 
 def _wrap(t: Term, sc: ScopeIfCmd | None) -> Term:
-    if sc is not None and t.symbol == sc.if_name and len(t.children) == 3:
-        c, th, el = (_wrap(x, sc) for x in t.children)
-        return Term(
-            sc.if_name,
-            (c, Term(ASSUME_TRUE, (c, th)), Term(ASSUME_FALSE, (c, el))),
-        )
-    return Term(t.symbol, tuple(_wrap(x, sc) for x in t.children))
+    """t with each conditional's branches wrapped in assumption nodes on its
+    (wrapped) condition, built without recursion: the subterms listed
+    parents first, each one's last child first, come reversed in post-order
+    with children left to right, so a term's wrapped children end `built`
+    in order."""
+    order, todo = [], [t]
+    while todo:
+        order.append(x := todo.pop())
+        todo += x.children
+    built: list[Term] = []
+    for x in reversed(order):
+        k = len(built) - len(x.children)
+        kids = tuple(built[k:])
+        del built[k:]
+        if sc is not None and x.symbol == sc.if_name and len(kids) == 3:
+            c, th, el = kids
+            kids = (c, Term(ASSUME_TRUE, (c, th)), Term(ASSUME_FALSE, (c, el)))
+        built.append(Term(x.symbol, kids))
+    return built[0]
 
 
 def _machinery_rules(eng: Engine, fn_cmds: list[FunctionCmd], sc: ScopeIfCmd | None):

@@ -1,15 +1,31 @@
 """Cost-based extraction of a concrete term from a class under a context.
 
 Costs are summed over the term tree with a per-symbol model (default 1 per
-node). Class costs are computed by bottom-up relaxation to a fixpoint over
-the classes reachable from the root through allowed nodes, the only ones a
-root's cost and term depend on; classes whose every derivation is cyclic,
-or is blocked by the forbidden symbol, keep infinite cost and raise
-NoFiniteTerm.
+node), and every cost is finite and non-negative.
+
+A leaf first: no term costs less than the model's smallest cost m, so a
+node of symbol f costs at least cost(f) + arity(f) x m (its floor, summed
+as extraction sums a node's cost, so rounding keeps it a floor). A usable
+leaf of the root class cheaper than the floor of every other usable node
+of that class is a cheapest term, found without computing any other
+class's cost: the first settled class of Knuth's generalization of
+Dijkstra's algorithm (IPL 1977). `extract_from_view` returns it at once,
+and `cheap_leaves` lists, for a whole graph, the stored leaves cheaper than
+the floor of every compound symbol, which lambda lifting equates with an
+application by their stored class, with no view read and no term built.
+
+Otherwise class costs are computed by bottom-up relaxation to a fixpoint
+over the classes reachable from the root through allowed nodes, the only
+ones a root's cost and term depend on; classes whose every derivation is
+cyclic, or is blocked by the forbidden symbol, keep infinite cost and
+raise NoFiniteTerm.
 
 Choice among equal-cost nodes is deterministic: smaller symbol name first,
-then lexicographically smaller canonical child ids. Extraction is a pure
-function of a rebuilt graph and may run concurrently per class.
+then lexicographically smaller canonical child ids; so the early exit
+returns the smallest name among the cheapest leaves, as the fixpoint
+would, and a leaf that ties a compound node's floor takes the fixpoint.
+Extraction is a pure function of a rebuilt graph and may run concurrently
+per class.
 """
 
 from __future__ import annotations
@@ -48,6 +64,18 @@ class CostModel:
         check_cost(value)
         self.costs[name] = value
 
+    def least(self) -> float:
+        """The smallest cost of any symbol: no term costs less."""
+        return min([self.default, *self.costs.values()])
+
+    def floor(self, symbol: FunctionSymbol, least: float) -> float:
+        """The least cost a node of symbol can have, least per child added
+        as extraction adds a child's cost, so rounding keeps it a floor."""
+        k = self.of(symbol.name)
+        for _ in range(symbol.arity):
+            k += least
+        return k
+
     def term_cost(self, t: Term) -> float:
         """A node's cost plus its children's, summed left to right, without
         recursion: listed parents first, each one's last child first, the
@@ -82,6 +110,20 @@ def forbidden_names(forbid) -> set[str]:
     return {f.name if isinstance(f, FunctionSymbol) else f for f in forbid}
 
 
+def cheap_leaves(eg: EGraph, model: CostModel) -> list[tuple[str, ClassId]]:
+    """The stored leaves cheaper than the floor of every compound symbol,
+    as (name, stored class) in (cost, name) order. At any context, the
+    first of them that is not banned and lies in a class is the term that
+    extraction from that class returns."""
+    least, bound, leaves = model.least(), math.inf, []
+    for sym in eg.symbols():
+        if sym.arity:
+            bound = min(bound, model.floor(sym, least))
+        elif (c := eg.nodes().get((sym, ()))) is not None:
+            leaves.append((model.of(sym.name), sym.name, c))
+    return [(name, c) for k, name, c in sorted(leaves) if k < bound]
+
+
 class _Cycle(Exception):
     """Every candidate of a class leads back into the classes being built."""
 
@@ -94,6 +136,14 @@ def extract_from_view(
 ) -> ExtractResult:
     model = model or CostModel()
     banned = forbidden_names(forbid)
+    # a leaf cheaper than the floor of every other usable node of the root
+    nodes = [n for n in view.classes.get(root, ()) if n.symbol.name not in banned]
+    leaves = [(model.of(n.symbol.name), n.symbol.name) for n in nodes if not n.children]
+    if leaves:
+        k, name = min(leaves)
+        least = model.least()
+        if all(k < model.floor(n.symbol, least) for n in nodes if n.children):
+            return ExtractResult(Term(name), k)
     usable: dict[ClassId, list[ENode]] = {}
     todo = [root] if root in view.classes else []
     while todo:

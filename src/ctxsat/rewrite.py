@@ -17,8 +17,9 @@ Scoping constructs introduce contexts during the run:
   conditional first;
 - a lambda application seen at g gets a body context covering g in which the
   bound variable is equated with the argument; once the body class contains
-  a term that avoids the variable, a cheapest such term is extracted and
-  equated with the application at g.
+  a term that avoids the variable, a cheapest such term is equated with the
+  application at g (a provably cheapest leaf by its stored class, any other
+  term extracted from the body context's view).
 
 Where a conditional construct names an equality symbol, any class that a
 context proves equal to true and that contains an equality node has that
@@ -65,7 +66,7 @@ from typing import NamedTuple
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
-from .extract import CostModel, extract_from_view
+from .extract import CostModel, cheap_leaves, extract_from_view
 from .lattice import BOTTOM, ContextId
 from .views import OnTheFlyProvider, Strategy, _join, plan_join
 
@@ -481,26 +482,38 @@ class Engine:
         )
 
     def apply_lambda_lifts(self) -> int:
-        """Equate each application with a cheapest binder-free body term."""
+        """Equate each application with a cheapest binder-free body term.
+
+        The leaf case is decided from the union-find and the node store:
+        `cheap_leaves` lists, once per call (a `(cost ...)` command can
+        change the model between runs), the stored leaves cheaper than any
+        compound node can be, and a body whose class at the body context
+        holds one that is not its binder is equated with the first such
+        leaf's stored class, with no view of the body context read and no
+        term built or interned. That leaf is the term extraction from the
+        body's class would return. Any other body's cheapest binder-free
+        term is extracted from the body context's view and interned."""
         count = 0
         eg, find = self.eg, self.eg.uf._find
+        leaves = self._lambda_instances and cheap_leaves(eg, self.cost_model)
         for inst in self._lambda_instances:
             for lam_node in self._lambda_nodes(inst.fn_class, inst.construct):
                 binder_cls, body_cls = lam_node.children
                 forbid = self._binder_names(binder_cls)
                 if not forbid:
                     continue
-                try:
-                    res = extract_from_view(
-                        eg.views.get(inst.body_ctx),
-                        find(inst.body_ctx, body_cls),
-                        self.cost_model,
-                        forbid,
-                    )
-                except NoFiniteTerm:
-                    # every term of the body mentions the binder
-                    continue
-                lifted = eg.intern(res.term)
+                ctx = inst.body_ctx
+                body = find(ctx, body_cls)
+                lifted = next(
+                    (c for name, c in leaves if name not in forbid and find(ctx, c) == body), None
+                )
+                if lifted is None:
+                    try:
+                        res = extract_from_view(eg.views.get(ctx), body, self.cost_model, forbid)
+                    except NoFiniteTerm:
+                        # every term of the body mentions the binder
+                        continue
+                    lifted = eg.intern(res.term)
                 if find(inst.gamma, inst.app_class) != find(inst.gamma, lifted):
                     eg.merge(inst.gamma, inst.app_class, lifted)
                     count += 1

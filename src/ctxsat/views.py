@@ -54,8 +54,9 @@ only index of `_join`, the join that `Engine.ematch` runs here.
 
 Join plans: `plan_join` fixes once per compiled query, for each atom a join
 can start from, the visit order, how each atom is reached (through a bound
-class or as a parent) and which fields bind, check or repeat a slot; `_join`
-runs a plan on flat tuples, with no search and no binding per field.
+class or as a parent) and which fields bind, check or repeat a slot, each
+plan in time linear in the query's atoms; `_join` runs a plan on flat
+tuples, with no search and no binding per field.
 """
 
 from __future__ import annotations
@@ -332,7 +333,24 @@ def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
     (None) or as a parent at the child index over it. A check is None or
     two item getters that agree when each field equals the earlier field of
     its slot; a field equal by construction is not checked. project maps a
-    full match to its root and the values of var_slots, in order."""
+    full match to its root and the values of var_slots, in order.
+
+    The visit is depth first from the start atom; an atom's unvisited
+    neighbours (the atoms that make one of its arguments or use its class)
+    are pushed in ascending index, so the last one pushed is visited next."""
+    # an atom's neighbours: the atoms whose class is one of its arguments,
+    # and the atom its class is an argument of, listed once, so that a plan
+    # takes time linear in the atoms. A compiled query is a tree numbered
+    # in pre-order, so a slot is the class of one atom at most, and each
+    # list, its parent first, comes out ascending.
+    maker = {atom[2]: j for j, atom in enumerate(atoms)}
+    near = [[] for _ in atoms]
+    for j, atom in enumerate(atoms):
+        for s in atom[1]:
+            i = maker.get(s)
+            if i is not None:
+                near[j].append(i)
+                near[i].append(j)
     plans = {}
     for start in range(len(atoms)):
         if start in consts:
@@ -358,10 +376,12 @@ def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
         first, steps = row((out, *args)), []
         done, frontier = {start, *consts}, [start]
         while frontier:
-            _, args, out = atoms[frontier.pop()]
-            for j, (sym_j, args_j, out_j) in enumerate(atoms):
-                if j in done or (out_j not in args and out not in args_j):
+            i = frontier.pop()
+            _, args, out = atoms[i]
+            for j in near[i]:
+                if j in done:
                     continue
+                sym_j, args_j, out_j = atoms[j]
                 done.add(j)
                 frontier.append(j)
                 if out_j in args:

@@ -13,6 +13,7 @@ import itertools
 import math
 import re
 from collections import defaultdict
+from operator import itemgetter
 from typing import NamedTuple
 
 from ctxsat.dsl import (
@@ -262,6 +263,64 @@ def whole_view_extraction(classes, root, cost_of, banned=()):
         return None
 
     return cost[root], build(root, frozenset())
+
+
+def reference_plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
+    """`views.plan_join` as a scan: each visited atom looks at every atom
+    for its neighbours, so a plan takes time quadratic in the atoms.
+
+    A static join plan for each non-constant atom of a compiled query
+    (see the rewrite module), keyed by the atom it starts from.
+
+    A partial match is a flat tuple: the constants' classes in the order of
+    consts, then each visited row's fields (the class first, unless the row
+    was reached through its class). A plan is (check, steps, project): the
+    start row's check, then steps (symbol, position, child index or None,
+    check), each reaching its atom through the class at that position
+    (None) or as a parent at the child index over it. A check is None or
+    two item getters that agree when each field equals the earlier field of
+    its slot; a field equal by construction is not checked. project maps a
+    full match to its root and the values of var_slots, in order."""
+    plans = {}
+    for start in range(len(atoms)):
+        if start in consts:
+            continue
+        at = {atoms[j][2]: k for k, j in enumerate(consts)}  # slot -> position
+        size = len(consts)
+
+        def row(slots, skip=-1):
+            """Place a row's fields at the next positions; its check."""
+            nonlocal size
+            pairs = []
+            for k, s in enumerate(slots, size):
+                if s not in at:
+                    at[s] = k
+                elif k != size + skip:
+                    pairs.append((k, at[s]))
+            size += len(slots)
+            if not pairs:
+                return None
+            return itemgetter(*(k for k, _ in pairs)), itemgetter(*(p for _, p in pairs))
+
+        _, args, out = atoms[start]
+        first, steps = row((out, *args)), []
+        done, frontier = {start, *consts}, [start]
+        while frontier:
+            _, args, out = atoms[frontier.pop()]
+            for j, (sym_j, args_j, out_j) in enumerate(atoms):
+                if j in done or (out_j not in args and out not in args_j):
+                    continue
+                done.add(j)
+                frontier.append(j)
+                if out_j in args:
+                    steps.append((sym_j, at[out_j], None, row(args_j)))
+                else:
+                    pos = args_j.index(out)
+                    steps.append((sym_j, at[out], pos, row((out_j, *args_j), 1 + pos)))
+        keys = [at[0], *map(at.__getitem__, var_slots)]
+        project = itemgetter(*keys) if len(keys) > 1 else lambda t, k=keys[0]: (t[k],)
+        plans[start] = (first, steps, project)
+    return plans
 
 
 # --- the reference parser -------------------------------------------------

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from ctxsat.assume import assume_encode, nested_conditional_program
@@ -70,3 +73,19 @@ def test_generated_programs_resolve_at_bottom():
 def test_generator_rejects_bad_depth():
     with pytest.raises(ValueError):
         nested_conditional_program(0)
+
+
+def test_cli_compares_a_deep_term_end_to_end(tmp_path):
+    # the wrapped copy of the term is built without recursion, as the run is
+    deep = "(f " * 3000 + "a" + ")" * 3000
+    src = tmp_path / "deep.ctx"
+    src.write_text(f"(function f 1) (function a 0) (term {deep})\n(run 1)\n")
+    for command in ("run", "compare-assume"):
+        res = subprocess.run(
+            [sys.executable, "-m", "ctxsat.cli", command, str(src)],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, (command, res.stderr)
+    assert "Traceback" not in res.stderr
+    cmp = assume_encode(parse_program(src.read_text()))
+    assert cmp.assume_nodes == cmp.layered_nodes == 3001

@@ -7,6 +7,7 @@ import pytest
 from ctxsat import BOTTOM, CostModel, EGraph, Term, extract, term
 from ctxsat.errors import NoFiniteTerm
 from ctxsat.extract import extract_from_view
+from ctxsat.views import CanonicalView
 
 from oracles import resolved, whole_view_extraction
 from test_egraph import random_egraph
@@ -236,32 +237,61 @@ def test_cost_model_rejects_negative():
     assert m.of("f") == 1
 
 
+class _Reads(dict):
+    """A view's classes that count the lookups of a class extraction makes."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+
 def test_extract_from_view_agrees_with_a_whole_view_fixpoint():
     """Extraction reads only the classes reachable from the root; the costs,
-    ties and terms are those of a fixpoint over every class of the view."""
-    outcomes = {"term": 0, "none": 0}
+    ties and terms are those of a fixpoint over every class of the view.
+    A root whose cheapest usable leaf costs less than the floor of every
+    other usable node (its symbol's cost plus the model's least cost per
+    child) returns that leaf after one read of its own class; every other
+    root, a leaf that ties a floor included, takes the fixpoint. Besides
+    random costs, the models make every compound symbol free (so no leaf
+    beats a floor) or make a leaf cost what a unary node's floor does."""
+    outcomes = dict.fromkeys(["term", "none", "leaf exit", "fixpoint", "tie"], 0)
     for seed in range(150):
         # merges close cycles; zero costs make ties and zero-cost cycles
         eg, _, _ = random_egraph(seed + 23000, 16, 4)
         eg.rebuild()
         rng = random.Random(seed)
         names = sorted({s.name for s in eg.symbols()})
-        model = CostModel({n: rng.choice([0, 0.5, 1, 1, 2, 3]) for n in names})
-        for ctx in eg.lattice.ids():
+        models = [
+            CostModel({n: rng.choice([0, 0.5, 1, 1, 2, 3]) for n in names}),
+            CostModel({n: 0 if n[0] == "f" else rng.choice([0, 1, 2]) for n in names}),
+            CostModel({n: 1 if n[0] == "f" else 2 for n in names}),
+        ]
+        for model, ctx in itertools.product(models, eg.lattice.ids()):
+            least = min([model.default, *model.costs.values()])
             view = eg.views.get(ctx)
             classes = resolved(view)
             for root in classes:
                 for forbid in (None, {rng.choice(names)}):
                     want = whole_view_extraction(classes, root, model.of, forbid or ())
+                    probe = CanonicalView(ctx, _Reads(classes), view.version)
                     try:
-                        got = extract_from_view(view, root, model, forbid)
+                        got = extract_from_view(probe, root, model, forbid)
                     except NoFiniteTerm:
                         assert want is None, f"seed={seed} ctx={ctx} root={root}"
                         outcomes["none"] += 1
                     else:
                         assert (got.cost, got.term) == want, f"seed={seed} ctx={ctx} root={root}"
                         outcomes["term"] += 1
-    assert min(outcomes.values()) > 100
+                    nodes = [n for n in classes[root] if n.symbol.name not in (forbid or ())]
+                    leaf = min([model.of(n.symbol.name) for n in nodes if not n.children], default=None)
+                    floors = [model.of(n.symbol.name) + n.symbol.arity * least for n in nodes if n.children]
+                    exits = leaf is not None and all(leaf < k for k in floors)
+                    assert (probe.classes.reads == 1) == exits, f"seed={seed} ctx={ctx} root={root}"
+                    outcomes["leaf exit" if exits else "fixpoint"] += 1
+                    outcomes["tie"] += leaf in floors
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_a_deep_term_extracts_without_recursion():

@@ -1,7 +1,9 @@
 import itertools
 import random
 import signal
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from ctxsat.dsl import (
     Program, RunCmd, _forms, _term, _term_to_pattern, execute, parse_program, run_source,
 )
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
+from ctxsat import rewrite
 from ctxsat.rewrite import pattern_vars
 from ctxsat.views import marks
 
@@ -1122,3 +1125,52 @@ def test_equality_reflection_requires_opt_in():
     eg = eng.eg
     then = eg.context("then")
     assert not eg.equiv(then, eg.intern(term("x")), eg.intern(term("2")))
+
+
+def test_lambda_lifts_by_a_stored_leaf_as_by_extraction(monkeypatch):
+    """Lifting a body's cheap leaf by its stored class leaves each run as
+    extracting it from the body context's view would: with no cheap leaf
+    listed, every digest of `scripts/fingerprint.py` is the same. The
+    corpora, the lambda chains of depth 2 to 4 and two costed variants of
+    the lambda corpus run both ways; in the variants the body's cheapest
+    binder-free term is (plus 2 1), as 3 costs 5, so the lift extracts,
+    and with plus free no leaf is cheap at all. In the last program the
+    binder itself is the body's one cheap leaf, which the lift skips."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+    import fingerprint
+    import workloads
+
+    sources = {name: corpus_source(name) for name in CORPUS_NAMES}
+    for d in (2, 3, 4):
+        for args in itertools.product((1, 2), repeat=d):
+            op = workloads.lambda_op(list(args))
+            sources[op.label] = op.source
+    for costs in ("(cost 3 5)", "(cost 3 5)\n(cost plus 0)"):
+        sources[costs] = corpus_source("lambda").replace("(run 6)", f"{costs}\n(run 6)")
+    sources["binder"] = (
+        "(function app 2) (function lam 2) (function var 1) (function x 0) (function 2 0)\n"
+        "(scope-lambda app lam var)\n(rule unwrap (var ?v) ?v :scope everywhere)\n"
+        "(cost x 0)\n(term (app (lam x (var x)) 2))\n(run 4)\n"
+        "(extract bot (app (lam x (var x)) 2))\n"
+    )
+    extractions = []
+    real = rewrite.extract_from_view
+    monkeypatch.setattr(rewrite, "extract_from_view", lambda *a: extractions.append(1) or real(*a))
+
+    def runs():
+        out = {}
+        for label, source in sources.items():
+            extractions.clear()
+            out[label] = fingerprint.digests(source), len(extractions)
+        return out
+
+    # a lift of the binder would nest body contexts without end
+    with time_budget(30):
+        with_leaves = runs()
+        monkeypatch.setattr(rewrite, "cheap_leaves", lambda eg, model: [])
+        without = runs()
+    assert {k: v[0] for k, v in with_leaves.items()} == {k: v[0] for k, v in without.items()}
+    lifted_by_leaf = {k for k in sources if with_leaves[k][1] < without[k][1]}
+    assert lifted_by_leaf == {"lambda", *(k for k in sources if k.startswith("lambda-"))}
+    assert run_source(sources["(cost 3 5)"]).extracts[0].term == "(plus 2 1)"
+    assert run_source(sources["binder"]).extracts[0].term == "2"

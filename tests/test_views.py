@@ -1,6 +1,8 @@
 import random
 import sys
+import time
 from collections import defaultdict
+from operator import itemgetter
 from pathlib import Path
 
 from ctxsat import (
@@ -18,9 +20,16 @@ from hypothesis import strategies as st
 
 from ctxsat.dsl import run_source
 from ctxsat.egraph import ENode, FunctionSymbol, node_key
-from ctxsat.views import OnTheFlyProvider
+from ctxsat import rewrite
+from ctxsat.rewrite import PatternApp, PatternVar, Rule
+from ctxsat.views import OnTheFlyProvider, plan_join
 
-from oracles import naive_contextual_congruence, resolved, view_index_mismatch
+from oracles import (
+    naive_contextual_congruence,
+    reference_plan_join,
+    resolved,
+    view_index_mismatch,
+)
 from test_egraph import random_egraph
 from test_rewrite import match_set, random_pattern
 
@@ -356,3 +365,60 @@ def test_row_logs_hold_at_most_twice_their_live_entries():
             assert view._dead.get(sym, 0) == len(entries) - len(live[sym])
             total += len(entries)
     assert total < 3000
+
+
+def plan_shape(x):
+    """A join plan with its item getters and one-key projection read as
+    their keys, so that two plans compare by value."""
+    if isinstance(x, itemgetter):
+        return "get", x.__reduce__()[1]
+    if isinstance(x, dict):
+        return {k: plan_shape(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return tuple(map(plan_shape, x))
+    if callable(x):
+        return "key", x.__defaults__
+    return x
+
+
+def test_plan_join_agrees_with_the_scan_on_random_patterns(monkeypatch):
+    """Every plan, from every start atom, is the one the per-atom scan of
+    the reference builds: same visit order, steps, checks and projection."""
+    compiled = []
+
+    def record(*args):
+        compiled.append(args)
+        return plan_join(*args)
+
+    monkeypatch.setattr(rewrite, "plan_join", record)
+    # the branching symbols twice, for larger patterns
+    arities = [("a", 0), ("b", 0), ("f", 1), ("g", 2), ("h", 3), ("g", 2), ("h", 3)]
+    symbols = [FunctionSymbol(n, a) for n, a in arities]
+    for seed in range(400):
+        rng = random.Random(seed + 51000)
+        rewrite._compile(random_pattern(rng, symbols, rng.randint(1, 7), 3))
+    plans = 0
+    for args in compiled:
+        got = plan_join(*args)
+        assert plan_shape(got) == plan_shape(reference_plan_join(*args)), args
+        plans += len(got)
+    assert plans > 900 and max(len(args[0]) for args in compiled) > 40
+
+
+def test_a_deep_rule_compiles_fast():
+    """A 400-deep left-hand side gets its 400 plans of 400 steps each in
+    time linear per plan; the scan took seconds. The best of three
+    compiles is timed, so that a pause of the host fails no run."""
+    times = []
+    for _ in range(3):
+        eng = Engine()
+        f = eng.eg.declare_function("f", 1)
+        lhs = PatternVar("x")
+        for _ in range(400):
+            lhs = PatternApp(f, (lhs,))
+        start = time.perf_counter()
+        eng.add_rule(Rule("deep", lhs, PatternVar("x")))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5
+    plans = eng._compiled["deep"][0].plans
+    assert len(plans) == 400 and all(len(steps) == 399 for _, steps, _ in plans.values())
