@@ -9,7 +9,10 @@ around each call and every op's own verdict checked. A round sums each
 side's times over all ops, each weighted by how often a benchmark round
 runs it (`distinct_ops`), so that the sum stands for a benchmark round; its
 speed-up is A's sum over B's. Prints the median speed-up over the rounds
-and its quartiles:
+and its quartiles, then, for each op family (`tower-dN` by tower depth,
+`lambda-dN` by chain depth, `ac-nN` by sum length; a `query` op counts in
+its graph's family), the median over the rounds of its weighted A and B
+sums and of its speed-up, so that one can see where a gain lands:
 
     python3 scripts/ab_time.py --workload scopes --a ../before --b . --rounds 10
 
@@ -27,6 +30,7 @@ a set-up of a few seconds per side.
 import argparse
 import gc
 import importlib.util
+import re
 import statistics
 import sys
 import time
@@ -84,6 +88,31 @@ def distinct_ops(wl, workload: str) -> list[tuple[object, float]]:
     return [(op, weights[key]) for key, op in ops.items()]
 
 
+def family(label: str) -> str:
+    """The family of an op's label: `tower-d12-l3` is `tower-d12`,
+    `lambda-1212` is `lambda-d4`, `ac-n3-j0` is `ac-n3`, and a `query`
+    op (`<graph>: <directive>`) counts in its graph's family."""
+    label = label.split(": ")[0]
+    if m := re.fullmatch(r"lambda-([12]+)", label):
+        return f"lambda-d{len(m[1])}"
+    if m := re.fullmatch(r"(tower-d\d+|ac-n\d+)-.*", label):
+        return m[1]
+    return label
+
+
+def family_lines(rounds: list[dict]) -> list[str]:
+    """One line per family, by name, from each round's family -> (A sum,
+    B sum), each the sum of two timings in seconds: the medians over the
+    rounds of the two sums, halved, in ms, and of their ratio."""
+    lines = []
+    for name in sorted({name for sums in rounds for name in sums}):
+        pairs = [sums[name] for sums in rounds]
+        a, b = (statistics.median(side) * 500 for side in zip(*pairs))
+        ratio = statistics.median(a / b for a, b in pairs)
+        lines.append(f"  {name}: A {a:.1f} ms, B {b:.1f} ms, speed-up x{ratio:.3f}")
+    return lines
+
+
 def timed(op, aliases: dict) -> float:
     sys.modules.update(aliases)
     gc.collect()
@@ -114,19 +143,25 @@ def main(argv=None) -> int:
     labels = [(op.label, w) for op, w in ops_a]
     if labels != [(op.label, w) for op, w in ops_b]:
         raise SystemExit("error: the two checkouts' workloads list different ops")
-    ratios = []
+    families = [family(label) for label, _ in labels]
+    ratios, rounds = [], []
     for _ in range(args.rounds):
-        sum_a = sum_b = 0.0
-        for (op_a, w), (op_b, _) in zip(ops_a, ops_b):
-            sum_a += w * timed(op_a, aliases_a)
-            sum_b += w * (timed(op_b, aliases_b) + timed(op_b, aliases_b))
-            sum_a += w * timed(op_a, aliases_a)
+        sums = {name: [0.0, 0.0] for name in families}
+        for (op_a, w), (op_b, _), name in zip(ops_a, ops_b, families):
+            a = timed(op_a, aliases_a)
+            b = timed(op_b, aliases_b) + timed(op_b, aliases_b)
+            a += timed(op_a, aliases_a)
+            sums[name][0] += w * a
+            sums[name][1] += w * b
+        rounds.append(sums)
+        sum_a, sum_b = (sum(side) for side in zip(*sums.values()))
         ratios.append(sum_a / sum_b)
         print(f"round {len(ratios)}: A {sum_a / 2:.3f} s, B {sum_b / 2:.3f} s, "
               f"speed-up x{ratios[-1]:.3f}", flush=True)
     q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"{args.workload}: {len(ops_a)} ops, {args.rounds} rounds, "
           f"speed-up x{med:.3f} (IQR {q1:.3f}-{q3:.3f})")
+    print("\n".join(family_lines(rounds)))
     return 0
 
 

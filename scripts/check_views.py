@@ -7,14 +7,17 @@ view a get returns must be current: its `_marks` equal the change log's
 positions for its context (the lengths of the bottom and context lost logs,
 and the id count), which is what the cache reuses a view by. Each time a
 get returns a view it has not returned before for that cache and context,
-four things must hold too:
+five things must hold too:
 
 - its classes equal those of a fresh `build_view`;
 - `_rows(symbol, since)`, with since the version of the context's previous
   view (-1 for its first), lists the rows held now and not then;
 - `_rows(symbol, -1)` lists every row of symbol it holds (a first join
   reads it);
-- `_parents(symbol, pos, child)` equals a brute-force filter of its classes.
+- `_parents(symbol, pos, child)` equals a brute-force filter of its classes;
+- every row it holds has a `_sig` entry (a rule whose root's arguments are
+  all constants probes it), and with no clash reported that entry is the
+  class holding the row.
 
 Prints the number of views checked, or the first mismatch and exits 1:
 

@@ -17,8 +17,11 @@ Two maintenance duties keep overlays coherent:
   base-canonical, so base unions immediately re-key affected overlay entries
   (the relation itself is unchanged by the repair).
 
-Contexts declared after unions have happened start from a copy of their
-covers' overlays, which preserves order for late arrivals.
+Contexts declared after unions have happened start from their covers'
+relations, which preserves order for late arrivals: a context with one
+cover copies that cover's overlay dict (an empty one over bottom) and logs
+no lost root, as it loses none of the cover's layer; a context with several
+covers links in every overlay link of each cover.
 
 Change log: `lost[ctx]` lists, in order, every id that stopped being a root
 in ctx's layer (the base forest for bottom, the overlay otherwise). A root at
@@ -64,6 +67,12 @@ class LayeredUnionFind:
             return
         # validates ctx before anything is written for it
         covers = self.lattice.covers(ctx)
+        if len(covers) == 1:
+            # the cover's relation, link for link: it lost no root of the
+            # cover's layer, so lost[ctx] starts empty
+            (cover,) = covers
+            self._overlay[ctx] = {} if cover == BOTTOM else self._overlay[cover].copy()
+            return
         self._overlay[ctx] = {}
         for cover in covers:
             if cover == BOTTOM:

@@ -46,29 +46,36 @@ only from older rows was found then and its right-hand side added and
 merged; skipping it leaves the relation as the next rebuild would.
 (Re-adding a nested right-hand side before that rebuild can meet a child
 merged at bottom meanwhile, so a run that re-matched everything may number
-fresh ids, and count unions per context, differently.) A delta call whose
-atoms' symbols logged no row since returns before binding anything.
+fresh ids, and count unions per context, differently.)
 
-Each rule compiles once, in `add_rule`: its query with a join plan from
-each atom (see the views module), and its right-hand side as post-order
+Two tests let a rule visit that cannot match cost a few dictionary probes
+(`_idle`, `_absent`). A delta call returns before binding anything when
+none of its query's distinct symbols logged a row since. A rule whose
+root's arguments are all constants has one root row once the constants are
+bound, and every row a view's class holds has a `_sig` entry, so when that
+row has none the call returns before any join, first or delta.
+
+Each rule compiles once, in `add_rule` (the compiler, `_compile` and
+`_compile_rhs`, lives in the views module next to `plan_join`): its query
+with a join plan from each atom, and its right-hand side as post-order
 steps over a match's slot tuple (root, values in variable-name order), in
 which a variable is its position and each step takes the next one. The
 loop gets slot tuples from `ematch` and applies them in their sorted order,
 which numbers fresh ids, as `_add` calls and one union at the rule's
-context through the union-find's `_union`, which trusts the engine's ids.
+context through the union-find's `_union`, which trusts the engine's ids;
+a visit that finds no match applies and counts nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, cheap_leaves, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy, _join, plan_join
+from .views import OnTheFlyProvider, Strategy, _compile, _compile_rhs, _join, _Query
 
 
 @dataclass(frozen=True)
@@ -262,30 +269,33 @@ class Engine:
         slot tuples (root, values in variable-name order)."""
         eg = self.eg
         eg.lattice.check(ctx)
-        if strategy is Strategy.ON_THE_FLY:
-            db, since = OnTheFlyProvider(eg, ctx), None
-        else:
-            db = eg.views.get(ctx)
         # a rule's query compiled in add_rule; any other pattern compiles
         # here, plans included
         query = pattern if isinstance(pattern, _Query) else _compile(pattern)
-        atoms, consts, names, plans = query
+        atoms, consts, names, plans, symbols, ground = query
+        if strategy is Strategy.ON_THE_FLY:
+            db, since, ground = OnTheFlyProvider(eg, ctx), None, None
+        else:
+            db = eg.views.get(ctx)
         if not atoms:
             found = [(c, c) for c in db.class_ids()]
-        # idle: no row of any atom's symbol was logged since
-        elif since is not None and all(db._newest(a[0]) <= since for a in atoms):
+        elif since is not None and _idle(db, symbols, since):
             return []
         else:
             fixed = []  # the constants' classes, in the order of consts, as plans read them
             for j in consts:
-                sym = atoms[j][0]
-                cls = eg._nodes.get((sym, ()))
+                cls = eg._nodes.get((atoms[j][0], ()))
                 if cls is None:
                     return []
                 fixed.append(eg.uf._find(ctx, cls))
-                # a constant's new row is in every match
-                if since is not None and db._newest(sym) > since and db._rows(sym, since):
-                    since = None
+            if ground is not None and _absent(db, atoms[0][0], fixed, ground):
+                return []
+            # a constant's new row is in every match
+            if since is not None:
+                for j in consts:
+                    if db._newest(atoms[j][0]) > since and db._rows(atoms[j][0], since):
+                        since = None
+                        break
             if since is not None:
                 starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
             else:
@@ -529,19 +539,21 @@ class Engine:
         """Iterate scope introduction, rules, repair, intersection, and
         lifting until nothing changes or the cap is hit."""
         report = SaturationReport()
-        eg = self.eg
+        eg, ematch, matched_at = self.eg, self.ematch, self._matched_at
         for _ in range(max_iterations):
             before = eg.version
             eg.rebuild()
             self.apply_scopes()
             for rule in self.rules:
-                query, rhs = self._compiled[rule.name]
+                name = rule.name
+                query, rhs = self._compiled[name]
                 for ctx in self._admissible_contexts(rule.scope):
-                    key = (rule.name, ctx)
-                    matches = self.ematch(ctx, query, since=self._matched_at.get(key))
-                    self._matched_at[key] = eg.version
-                    self._apply(ctx, rhs, matches)
-                    report.rule_applications += len(matches)
+                    key = (name, ctx)
+                    matches = ematch(ctx, query, since=matched_at.get(key))
+                    matched_at[key] = eg.version
+                    if matches:
+                        self._apply(ctx, rhs, matches)
+                        report.rule_applications += len(matches)
             eg.rebuild()
             self.apply_intersections()
             self.apply_lambda_lifts()
@@ -558,57 +570,17 @@ class Engine:
         return report
 
 
-class _Query(NamedTuple):
-    """A compiled left-hand side: atoms (symbol, argument slots, class
-    slot), root first with its class in slot 0; the constants (nullary
-    atoms other than the root), by atom index; the variable names, sorted;
-    and the static join plan from each non-constant atom
-    (`views.plan_join`)."""
-
-    atoms: list
-    consts: tuple
-    names: list
-    plans: dict
+def _idle(db, symbols: tuple, since: int) -> bool:
+    """Whether no row of any of a query's symbols was logged after since."""
+    log = db._log
+    for sym in symbols:
+        entries = log.get(sym)
+        if entries and entries[-1][0] > since:
+            return False
+    return True
 
 
-def _compile(pattern: Pattern) -> _Query:
-    # pre-order without recursion: a var's slot is its first visit's, an
-    # application's atom is filled in once its args' slots end `vals`
-    atoms, slots, vals, todo = [], {}, [], [(pattern, None)]
-    while todo:
-        p, i = todo.pop()
-        if i is not None:
-            k = len(vals) - len(p.args)
-            atoms[i] = (p.symbol, tuple(vals[k:]), vals[k - 1])
-            del vals[k:]
-        elif isinstance(p, PatternVar):
-            vals.append(slots.setdefault(p.name, len(slots) + len(atoms)))
-        else:
-            vals.append(len(slots) + len(atoms))
-            todo.append((p, len(atoms)))
-            atoms.append(None)
-            todo += [(a, None) for a in reversed(p.args)]
-    consts = tuple(i for i, atom in enumerate(atoms) if i and not atom[1])
-    names = sorted(slots)
-    return _Query(atoms, consts, names, plan_join(atoms, consts, [slots[n] for n in names]))
-
-
-def _compile_rhs(pattern: Pattern, names: list) -> tuple[list, int]:
-    """A right-hand side's steps (symbol, args), in post-order with children
-    left to right, the order a recursive instantiation adds them in, over a
-    match's slot tuple: an arg is a position in the tuple extended by the
-    steps' classes (the root at 0, the variables in name order from 1, then
-    step i at 1 + len(names) + i). Also the position of its class."""
-    at = {name: k for k, name in enumerate(names, 1)}
-    steps, vals, todo = [], [], [(pattern, False)]
-    while todo:
-        p, ready = todo.pop()
-        if isinstance(p, PatternVar):
-            vals.append(at[p.name])
-        elif ready:
-            k = len(vals) - len(p.args)
-            steps.append((p.symbol, tuple(vals[k:])))
-            vals[k:] = [len(at) + len(steps)]
-        else:
-            todo += [(p, True), *((a, False) for a in reversed(p.args))]
-    return steps, vals[0]
+def _absent(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> bool:
+    """Whether no class of the view holds the root row over the constants'
+    classes; every row a class holds has a `_sig` entry."""
+    return (symbol, tuple([fixed[k] for k in ground])) not in db._sig

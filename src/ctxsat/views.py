@@ -45,18 +45,24 @@ patch follows a change, so it logs at a higher version); a first view starts
 from the live entries of the log of the view it copies. An entry dies when
 its row leaves its class; a patch counts those per symbol (`_dead`) and drops
 a symbol's dead entries, keeping the order, once they outnumber its live
-ones. Versions rise along the log, so `_rows(symbol, since)` walks it back to
-since and keeps the rows the view still holds: the delta semi-naive matching
-joins from (see the rewrite module), and with since = -1 every row of the
-symbol, which a first join starts from. `_parents` reads the rows over a
-child class from the classes in `_uses`. The patch's own state is thus the
-only index of `_join`, the join that `Engine.ematch` runs here.
+ones; a first view's seed drops the dead entries of the view it copies the
+same way, in place, before copying each log whole. Versions rise along the
+log, so `_rows(symbol, since)` walks it back to since and keeps the rows
+the view still holds: the delta semi-naive matching joins from (see the
+rewrite module), and with since = -1 every row of the symbol, which a first
+join starts from. `_parents` reads the rows over a child class from the
+classes in `_uses`. The patch's own state is thus the only index of
+`_join`, the join that `Engine.ematch` runs here, and of the probe of a
+rule's one root row in `_sig`.
 
-Join plans: `plan_join` fixes once per compiled query, for each atom a join
-can start from, the visit order, how each atom is reached (through a bound
-class or as a parent) and which fields bind, check or repeat a slot, each
-plan in time linear in the query's atoms; `_join` runs a plan on flat
-tuples, with no search and no binding per field.
+Rule compiler and join plans: `_compile` turns a left-hand side into a
+conjunctive query (`_Query`) and `_compile_rhs` a right-hand side into
+steps over a match (see the rewrite module). `plan_join` fixes once per
+compiled query, for each atom a join can start from, the visit order, how
+each atom is reached (through a bound class or as a parent) and which
+fields bind, check or repeat a slot, each plan in time linear in the
+query's atoms; `_join` runs a plan on flat tuples, with no search and no
+binding per field.
 """
 
 from __future__ import annotations
@@ -64,8 +70,9 @@ from __future__ import annotations
 import enum
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
@@ -273,21 +280,24 @@ class ViewCache:
         """What ctx's first view is patched from: at bottom an empty view,
         else a copy of its one cover's current view (of bottom's if it has
         several) with ctx's whole layer log still to read; the links it
-        copied from the cover pop no class of that view. Only live row log
-        entries are copied (a row dead below ctx stays dead at ctx), so a
-        log with no dead entry is copied whole."""
+        copied from the cover pop no class of that view. The base view's
+        dead row log entries are dropped first, in place, as a patch drops
+        them (a row dead below ctx stays dead at ctx), so each log is
+        copied whole."""
         if ctx == BOTTOM:
             return CanonicalView(BOTTOM, {}, 0)
         covers = eg.lattice.covers(ctx)
         base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
-        log = {
-            sym: [e for e in rows if e[1] in base.classes.get(e[2], ())]
-            if base._dead.get(sym) else rows.copy()
-            for sym, rows in base._log.items()
-        }
-        return replace(
-            base, context=ctx, _sig=base._sig.copy(), _uses=base._uses.copy(),
-            _log=log, _dead={}, _marks=(base._marks[0], 0, base._marks[2]),
+        log, classes, dead = base._log, base.classes, base._dead
+        for sym, n in dead.items():
+            if n:
+                entries = log[sym]
+                entries[:] = [e for e in entries if e[1] in classes.get(e[2], ())]
+                dead[sym] = 0
+        return CanonicalView(
+            ctx, classes, base.version, base.clashes, base._sig.copy(), base._uses.copy(),
+            {sym: entries.copy() for sym, entries in log.items()}, {},
+            (base._marks[0], 0, base._marks[2]),
         )
 
 
@@ -319,6 +329,72 @@ class OnTheFlyProvider:
             got = tuple(sorted(self.eg.class_nodes(self.ctx, c)))
             self._memo[c] = got
         return got
+
+
+class _Query(NamedTuple):
+    """A compiled left-hand side: atoms (symbol, argument slots, class
+    slot), root first with its class in slot 0; the constants (nullary
+    atoms other than the root), by atom index; the variable names, sorted;
+    the static join plan from each non-constant atom (`plan_join`); the
+    atoms' distinct symbols; and, when every argument of the root is a
+    constant, the position of each argument's class in the constants'
+    classes (else None)."""
+
+    atoms: list
+    consts: tuple
+    names: list
+    plans: dict
+    symbols: tuple
+    ground: tuple | None
+
+
+def _compile(pattern) -> _Query:
+    """The query of a pattern of the rewrite module: a variable (with a
+    `name`) or an application (a `symbol` and its `args`)."""
+    # pre-order without recursion: a var's slot is its first visit's, an
+    # application's atom is filled in once its args' slots end `vals`
+    atoms, slots, vals, todo = [], {}, [], [(pattern, None)]
+    while todo:
+        p, i = todo.pop()
+        if i is not None:
+            k = len(vals) - len(p.args)
+            atoms[i] = (p.symbol, tuple(vals[k:]), vals[k - 1])
+            del vals[k:]
+        elif hasattr(p, "name"):
+            vals.append(slots.setdefault(p.name, len(slots) + len(atoms)))
+        else:
+            vals.append(len(slots) + len(atoms))
+            todo.append((p, len(atoms)))
+            atoms.append(None)
+            todo += [(a, None) for a in reversed(p.args)]
+    consts = tuple(i for i, atom in enumerate(atoms) if i and not atom[1])
+    names = sorted(slots)
+    at, ground = {atoms[j][2]: k for k, j in enumerate(consts)}, None
+    if atoms and at.keys() >= set(atoms[0][1]):
+        ground = tuple(at[s] for s in atoms[0][1])
+    plans = plan_join(atoms, consts, [slots[n] for n in names])
+    return _Query(atoms, consts, names, plans, tuple(dict.fromkeys(a[0] for a in atoms)), ground)
+
+
+def _compile_rhs(pattern, names: list) -> tuple[list, int]:
+    """A right-hand side's steps (symbol, args), in post-order with children
+    left to right, the order a recursive instantiation adds them in, over a
+    match's slot tuple: an arg is a position in the tuple extended by the
+    steps' classes (the root at 0, the variables in name order from 1, then
+    step i at 1 + len(names) + i). Also the position of its class."""
+    at = {name: k for k, name in enumerate(names, 1)}
+    steps, vals, todo = [], [], [(pattern, False)]
+    while todo:
+        p, ready = todo.pop()
+        if hasattr(p, "name"):
+            vals.append(at[p.name])
+        elif ready:
+            k = len(vals) - len(p.args)
+            steps.append((p.symbol, tuple(vals[k:])))
+            vals[k:] = [len(at) + len(steps)]
+        else:
+            todo += [(p, True), *((a, False) for a in reversed(p.args))]
+    return steps, vals[0]
 
 
 def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:

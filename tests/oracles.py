@@ -190,9 +190,10 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     an earlier view of the same context, or None, which reads as -1 and no
     rows), and `_rows(sym, -1)` every row of sym the view holds, which a
     first join reads. `_parents(sym, pos, child)` must list the rows whose
-    child at pos is child. When the view reports no clashes, `_sig[row]`
-    must be the class holding each row, which a join whose root row is
-    fully bound probes instead of scanning.
+    child at pos is child. Every row a class holds must have a `_sig`
+    entry, clashes or not: a rule whose root's arguments are all constants
+    returns no match when its one root row has none. When the view reports
+    no clashes, `_sig[row]` must be the class holding each row.
     """
 
     def rows(v):
@@ -214,10 +215,11 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
         got = view._parents(sym, pos, child)
         if len(got) != len(set(got)) or set(got) != want:
             return f"_parents({sym.name}, {pos}, {child}) at context {view.context}"
-    if not view.clashes:
-        for n, c in held:
-            if view._sig.get(n) != c:
-                return f"_sig[{n}] is not {c} at context {view.context}"
+    for n, c in held:
+        if n not in view._sig:
+            return f"no _sig entry for {n} of {c} at context {view.context}"
+        if not view.clashes and view._sig[n] != c:
+            return f"_sig[{n}] is not {c} at context {view.context}"
     return None
 
 

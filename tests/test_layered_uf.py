@@ -136,6 +136,53 @@ def test_late_context_sees_earlier_unions():
     assert not uf.equiv(BOTTOM, a, b)
 
 
+def test_a_context_with_one_cover_registers_as_a_copy_of_it():
+    """A context with one cover starts from a copy of its cover's overlay,
+    after unions at the cover and below: it has the cover's partition and
+    logs no lost root until a link in its own layer, and a later union at
+    the cover still reaches it. A context with two covers links in their
+    overlays, and logs each root that a link takes."""
+    copied = linked = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        lat = ContextLattice()
+        s = lat.declare_context("s", {BOTTOM})
+        r = lat.declare_context("r", {BOTTOM})
+        uf, naive = LayeredUnionFind(lat), NaiveLayered(lat)
+        ids = [uf.make_set() for _ in range(10)]
+        for _ in ids:
+            naive.make_set()
+
+        def union(ctx, a, b):
+            uf.union_new(ctx, a, b)
+            naive.union(ctx, a, b)
+
+        for _ in range(8):
+            union(rng.choice([BOTTOM, s, r]), rng.choice(ids), rng.choice(ids))
+        over_bottom = lat.declare_context("over-bottom", {BOTTOM})
+        t = lat.declare_context("t", {s})
+        both = lat.declare_context("both", {s, r})
+        for ctx in (over_bottom, t, both):
+            uf.register_context(ctx)
+        assert uf._overlay[over_bottom] == {} and uf.lost[over_bottom] == []
+        assert uf._overlay[t] == uf._overlay[s] and uf._overlay[t] is not uf._overlay[s]
+        assert uf.lost[t] == []
+        # each link loses one root of both's layer
+        assert len(uf.lost[both]) == len(uf.partition(BOTTOM)) - len(uf.partition(both))
+        copied += len(uf.partition(BOTTOM)) - len(uf.partition(t))
+        linked += len(uf.lost[both])
+        for ctx in lat.ids():
+            assert uf.partition(ctx) == naive.partition(ctx), f"seed={seed} ctx={ctx}"
+        assert uf.lost[t] == []
+        a, b = next((a, b) for a in ids for b in ids if not uf.equiv(s, a, b))
+        union(s, a, b)
+        assert uf.equiv(t, a, b) and len(uf.lost[t]) == 1
+        union(rng.choice([BOTTOM, s, t]), rng.choice(ids), rng.choice(ids))
+        for ctx in lat.ids():
+            assert uf.partition(ctx) == naive.partition(ctx), f"seed={seed} ctx={ctx}"
+    assert copied > 100 and linked > 100
+
+
 def test_base_union_rekeys_overlay_entries():
     # overlay key loses its base-canonicity when a smaller id joins its class
     lat = ContextLattice()

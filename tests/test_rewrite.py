@@ -1174,3 +1174,58 @@ def test_lambda_lifts_by_a_stored_leaf_as_by_extraction(monkeypatch):
     assert lifted_by_leaf == {"lambda", *(k for k in sources if k.startswith("lambda-"))}
     assert run_source(sources["(cost 3 5)"]).extracts[0].term == "(plus 2 1)"
     assert run_source(sources["binder"]).extracts[0].term == "2"
+
+
+def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
+    """A rule visit that returns early, as idle (no row of the query's
+    symbols logged since its last visit) or as absent (its root's arguments
+    are constants and the view holds no such row), leaves each run as the
+    full join would: with both forced to say no, every digest of
+    `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
+    of depth 2 to 4, the towers of depth 4 to 6, `ac_op(3, j)` and 200
+    random rewrite programs. The idle test is taken on each family."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+    import fingerprint
+    import workloads
+
+    sources = {name: ("corpus", corpus_source(name)) for name in CORPUS_NAMES}
+    for d in (2, 3, 4):
+        for args in itertools.product((1, 2), repeat=d):
+            op = workloads.lambda_op(list(args))
+            sources[op.label] = "lambda", op.source
+    for d in (4, 5, 6):
+        for level in range(1, d + 1):
+            op = workloads.tower_op(d, level)
+            sources[op.label] = "tower", op.source
+    for j in range(3):
+        sources[f"ac-{j}"] = "ac", workloads.ac_op(3, j, random.Random(j)).source
+    for seed in range(200):
+        sources[f"random-{seed}"] = "random", random_rewrite_program(seed)[0]
+    taken = {"idle": set(), "absent": set()}
+    family = [None]
+
+    def counted(kind, real):
+        def fast(*args):
+            got = real(*args)
+            if got:
+                taken[kind].add(family[0])
+            return got
+
+        return fast
+
+    def digests():
+        out = {}
+        for label, (kind, source) in sources.items():
+            family[0] = kind
+            out[label] = fingerprint.digests(source)
+        return out
+
+    monkeypatch.setattr(rewrite, "_idle", counted("idle", rewrite._idle))
+    monkeypatch.setattr(rewrite, "_absent", counted("absent", rewrite._absent))
+    fast = digests()
+    monkeypatch.setattr(rewrite, "_idle", lambda *args: False)
+    monkeypatch.setattr(rewrite, "_absent", lambda *args: False)
+    assert digests() == fast
+    assert taken["idle"] == {"corpus", "lambda", "tower", "ac", "random"}
+    # the towers' and the ac programs' rules have a variable under the root
+    assert taken["absent"] == {"corpus", "lambda", "random"}

@@ -288,7 +288,8 @@ def live_log(view):
 def test_a_seeded_log_holds_the_live_entries_of_its_sources_log():
     """A first view above bottom starts from its one cover's current view,
     or from bottom's if it has several covers, with that view's row log
-    without the entries of rows the view no longer holds, in its order."""
+    without the entries of rows the view no longer holds, in its order.
+    The source view's own log drops them too, in place, as a patch would."""
     dead = {"cover": 0, "bottom": 0}
     for seed in range(40):
         eg, _, _ = random_egraph(seed + 17000, 20, 3)
@@ -309,6 +310,7 @@ def test_a_seeded_log_holds_the_live_entries_of_its_sources_log():
             dead[kind] += sum(len(rows) - len(want[sym]) for sym, rows in view._log.items())
             seed_view = eg.views._seed(eg, ctx)
             assert seed_view._log == want, f"seed={seed} ctx={ctx}"
+            assert view._log == want and not any(view._dead.values()), f"seed={seed} ctx={ctx}"
             assert seed_view.classes == view.classes, f"seed={seed} ctx={ctx}"
     assert dead["cover"] > 0 and dead["bottom"] > 0
 
@@ -390,7 +392,7 @@ def test_plan_join_agrees_with_the_scan_on_random_patterns(monkeypatch):
         compiled.append(args)
         return plan_join(*args)
 
-    monkeypatch.setattr(rewrite, "plan_join", record)
+    monkeypatch.setattr("ctxsat.views.plan_join", record)
     # the branching symbols twice, for larger patterns
     arities = [("a", 0), ("b", 0), ("f", 1), ("g", 2), ("h", 3), ("g", 2), ("h", 3)]
     symbols = [FunctionSymbol(n, a) for n, a in arities]
