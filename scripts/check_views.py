@@ -7,7 +7,7 @@ view a get returns must be current: its `_marks` equal the change log's
 positions for its context (the lengths of the bottom and context lost logs,
 and the id count), which is what the cache reuses a view by. Each time a
 get returns a view it has not returned before for that cache and context,
-five things must hold too:
+seven things must hold too:
 
 - its classes equal those of a fresh `build_view`;
 - `_rows(symbol, since)`, with since the version of the context's previous
@@ -17,7 +17,11 @@ five things must hold too:
 - `_parents(symbol, pos, child)` equals a brute-force filter of its classes;
 - every row it holds has a `_sig` entry (a rule whose root's arguments are
   all constants probes it), and with no clash reported that entry is the
-  class holding the row.
+  class holding the row;
+- every `_sig` entry, clashes or not, names a class that holds its row, so
+  that an entry naming a logged row's class tells that the row is held;
+- every class its parent index `_uses` lists under a child holds a row over
+  that child: no dead parents remain.
 
 Prints the number of views checked, or the first mismatch and exits 1:
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the source lines and parser tokens of each module under
-src/ctxsat/, and the total of the lines.
+src/ctxsat/, each module's headroom under the 4,096-token limit, and the
+total of the lines.
 
 A line counts when it is neither blank nor a comment; docstring lines
 count. A parser token is a `tokenize` token other than COMMENT, NL and
@@ -32,12 +33,12 @@ def tokens(path: Path) -> int:
 
 def main() -> int:
     total = 0
-    print(f"{'module':16s} {'lines':>5s} {'tokens':>6s}")
+    print(f"{'module':16s} {'lines':>5s} {'tokens':>6s} {'left':>5s}")
     for path in sorted(SRC.glob("*.py")):
         n, k = sloc(path), tokens(path)
         total += n
         mark = f"  past {TOKEN_LIMIT}" if k > TOKEN_LIMIT else ""
-        print(f"{path.name:16s} {n:5d} {k:6d}{mark}")
+        print(f"{path.name:16s} {n:5d} {k:6d} {TOKEN_LIMIT - k:5d}{mark}")
     print(f"{'total':16s} {total:5d}")
     return 0
 

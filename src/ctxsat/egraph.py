@@ -33,6 +33,13 @@ FunctionSymbol, ENode and Term are named tuples, hashed and compared in C
 the public entry points; the engine's own adds go through `_add`, which
 trusts its ids and builds an ENode only for a node it stores.
 
+Right-hand sides are probed, as in egg's hash-consing: `_instantiate` runs
+a rule's compiled right-hand side (`_compile_rhs`) over its matches, and a
+step whose node is already stored costs an inline root test per child (an
+id whose parent is a base root needs no find call) and one probe of the
+node store, with no call of `_add`, which only a miss reaches. Each match
+then makes its one union.
+
 `intern` keeps a memo keyed by object identity: for each term object it was
 called on, the term and the class it was interned into. An entry holds its
 term, so no other object can take that id while the entry lives, and a hit
@@ -113,6 +120,27 @@ class Term(NamedTuple):
 
 def term(symbol: str, *children: Term) -> Term:
     return Term(symbol, tuple(children))
+
+
+def _compile_rhs(pattern, names: list) -> tuple[list, int]:
+    """A right-hand side's steps (symbol, args), in post-order with children
+    left to right, the order a recursive instantiation adds them in, over a
+    match's slot tuple: an arg is a position in the tuple extended by the
+    steps' classes (the root at 0, the variables in name order from 1, then
+    step i at 1 + len(names) + i). Also the position of its class."""
+    at = {name: k for k, name in enumerate(names, 1)}
+    steps, vals, todo = [], [], [(pattern, False)]
+    while todo:
+        p, ready = todo.pop()
+        if hasattr(p, "name"):
+            vals.append(at[p.name])
+        elif ready:
+            k = len(vals) - len(p.args)
+            steps.append((p.symbol, tuple(vals[k:])))
+            vals[k:] = [len(at) + len(steps)]
+        else:
+            todo += [(p, True), *((a, False) for a in reversed(p.args))]
+    return steps, vals[0]
 
 
 class EGraph:
@@ -203,6 +231,28 @@ class EGraph:
         self.created.append(node := ENode(*key))
         self._nodes[node] = cls
         return cls
+
+    def _instantiate(self, ctx: ContextId, rhs: tuple, matches: list[tuple]) -> None:
+        """Add a compiled right-hand side (see the rewrite module) over each
+        match, a slot tuple, and union it with the match's root at ctx. A
+        step whose node is stored costs a root test per child and one probe
+        of the node store; only a miss goes through `_add`."""
+        p, nodes, base_find = self.uf._parent, self._nodes, self.uf._base_find
+        add, union = self._add, self.uf._union
+        steps, top = rhs
+        for m in matches:
+            env = [*m]
+            for sym, args in steps:
+                # an id's base root: its parent, unless that is no root
+                kids = ()
+                for a in args:
+                    r = p[x := env[a]]
+                    kids += (r if p[r] == r else base_find(x),)
+                # a stored node's class, root or not: a later step roots
+                # its children, and the union finds its own
+                c = nodes.get((sym, kids))
+                env.append(add(sym, kids) if c is None else c)
+            union(ctx, m[0], env[top])
 
     def intern(self, t: Term) -> ClassId:
         """Add a term bottom-up; idempotent on structurally equal terms.

@@ -148,8 +148,9 @@ class LayeredUnionFind:
         k's representatives there. So r is grouped itself (a key at c1 or
         c2) or heads k's group (its own representative at both), and k's
         merges, like its lo-class, are r's: dropping k changes neither the
-        relation at lo nor the count. Returns the number of merges that
-        were new at lo.
+        relation at lo nor the count. A group's head is not unioned with
+        itself, so a key alone in its group, the common case, costs no
+        union. Returns the number of merges that were new at lo.
         """
         if not (self.lattice.leq(lo, c1) and self.lattice.leq(lo, c2)):
             raise NotBelow(
@@ -166,7 +167,7 @@ class LayeredUnionFind:
         for (r1, r2), members in groups.items():
             head = r1 if r1 == r2 else members[0]
             for other in members:
-                if self._union(lo, head, other):
+                if other != head and self._union(lo, head, other):
                     count += 1
         return count
 

@@ -28,7 +28,12 @@ equality's operands merged in the same context.
 Constructs discover their nodes by occurrence: the engine walks the graph
 from the root terms, descending into branch bodies under the branch context
 and everywhere else under the current one, so nested conditionals land their
-intersections at the enclosing branch context rather than at bottom.
+intersections at the enclosing branch context rather than at bottom. The
+walk skips a class from which no conditional or application node can be
+reached (`_reach`, read from the bottom view's rows and parent index when
+the walk starts): nothing below such a class instantiates or merges, and a
+class that reaches a construct is reached only through classes that do too,
+so the walk meets instances and merges in the same order.
 
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
@@ -55,15 +60,19 @@ root's arguments are all constants has one root row once the constants are
 bound, and every row a view's class holds has a `_sig` entry, so when that
 row has none the call returns before any join, first or delta.
 
-Each rule compiles once, in `add_rule` (the compiler, `_compile` and
-`_compile_rhs`, lives in the views module next to `plan_join`): its query
-with a join plan from each atom, and its right-hand side as post-order
-steps over a match's slot tuple (root, values in variable-name order), in
-which a variable is its position and each step takes the next one. The
-loop gets slot tuples from `ematch` and applies them in their sorted order,
-which numbers fresh ids, as `_add` calls and one union at the rule's
-context through the union-find's `_union`, which trusts the engine's ids;
-a visit that finds no match applies and counts nothing.
+Each rule compiles once, in `add_rule` (`_compile` lives in the views
+module next to `plan_join`, `_compile_rhs` in the egraph module next to
+`EGraph._instantiate`, which runs its steps): its query with a join plan
+from each atom, and its right-hand side as post-order steps over a match's
+slot tuple (root, values in variable-name order), in which a variable is
+its position and each step takes the next one. The loop gets slot tuples
+from `ematch` and applies them in their sorted order, which numbers fresh
+ids: a step whose node is stored costs a probe of the node store, only a
+new node is added (`_add`), and each match makes one union at the rule's
+context through the union-find's `_union`, which trusts the engine's ids.
+A visit that finds no match applies and counts nothing, and matching
+changes no version, so the loop reads the version again only after an
+application.
 """
 
 from __future__ import annotations
@@ -71,11 +80,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol, Term, _compile_rhs
 from .errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from .extract import CostModel, cheap_leaves, extract_from_view
 from .lattice import BOTTOM, ContextId
-from .views import OnTheFlyProvider, Strategy, _compile, _compile_rhs, _join, _Query
+from .views import OnTheFlyProvider, Strategy, _compile, _join, _Query
 
 
 @dataclass(frozen=True)
@@ -313,15 +322,10 @@ class Engine:
 
     def _apply(self, ctx: ContextId, rhs: tuple, matches: list[tuple]) -> None:
         """Add a compiled right-hand side over each match, a slot tuple, and
-        union it with the match's root at ctx. The ids are the engine's
-        own, so the union skips `EGraph.merge`'s checks."""
-        add, union = self.eg._add, self.eg.uf._union
-        steps, top = rhs
-        for m in matches:
-            env = [*m]
-            for sym, args in steps:
-                env.append(add(sym, map(env.__getitem__, args)))
-            union(ctx, m[0], env[top])
+        union it with the match's root at ctx (`EGraph._instantiate`). The
+        ids are the engine's own, so the union skips `EGraph.merge`'s
+        checks."""
+        self.eg._instantiate(ctx, rhs, matches)
 
     def _admissible_contexts(self, scope: RuleScope) -> list[ContextId]:
         """The contexts a rule of this scope fires in; none while its
@@ -358,6 +362,7 @@ class Engine:
         if_syms = {sc.if_sym: sc for sc in self.conditionals}
         app_syms = {sc.app_sym: sc for sc in self.lambdas}
         lam_syms = {sc.lam_sym for sc in self.lambdas}
+        reach = _reach(eg.views.get(BOTTOM), [*if_syms, *app_syms])
 
         cond_keys = {
             (inst.gamma, find(BOTTOM, inst.cond)): inst
@@ -376,7 +381,7 @@ class Engine:
         while work:
             gamma, cls = work.popleft()
             cls = find(BOTTOM, cls)
-            if (gamma, cls) in seen:
+            if cls not in reach or (gamma, cls) in seen:
                 continue
             seen.add((gamma, cls))
             for node in members[cls]:
@@ -544,16 +549,19 @@ class Engine:
             before = eg.version
             eg.rebuild()
             self.apply_scopes()
+            # matching changes nothing: only an application moves the version
+            version = eg.version
             for rule in self.rules:
                 name = rule.name
                 query, rhs = self._compiled[name]
                 for ctx in self._admissible_contexts(rule.scope):
                     key = (name, ctx)
                     matches = ematch(ctx, query, since=matched_at.get(key))
-                    matched_at[key] = eg.version
+                    matched_at[key] = version
                     if matches:
                         self._apply(ctx, rhs, matches)
                         report.rule_applications += len(matches)
+                        version = eg.version
             eg.rebuild()
             self.apply_intersections()
             self.apply_lambda_lifts()
@@ -578,6 +586,19 @@ def _idle(db, symbols: tuple, since: int) -> bool:
         if entries and entries[-1][0] > since:
             return False
     return True
+
+
+def _reach(view, symbols: list) -> set:
+    """The classes of a view from which a node of one of symbols can be
+    reached: those holding one, and the parents of a class in the set."""
+    reach = {c for sym in symbols for _, c in view._rows(sym, -1)}
+    todo, uses = [*reach], view._uses
+    while todo:
+        for c in uses.get(todo.pop(), ()):
+            if c not in reach:
+                reach.add(c)
+                todo.append(c)
+    return reach
 
 
 def _absent(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> bool:

@@ -25,18 +25,30 @@ layer. The links the context copied from its cover at declaration lost no
 class of that view, so only the context's own merges move rows. Only rows
 that can change are re-canonicalized: a lost root's rows, which move into
 its class now, new ids' rows, and the rows over a lost root of the classes
-using it (`_uses`: child class -> parent classes); every other row keeps
-its entries. An old row's children are roots of the previous view, so it is
+using it (`_uses`, the parent index); every other row keeps its entries.
+An old row's children are roots of the previous view, so it is
 re-canonicalized through the lost roots' classes, with no find. `_sig`
 maps a row to a class holding it (a kept row whose entry left with a moved
-copy gets it back), and `clashes` lists pairs of live classes holding a
-common row, the predecessor's still apart included:
-any two classes that share a row are joined through them, so merging them
-restores congruence; with no clash, `_sig[row]` is the one class holding
-row. The patch state (`_sig`, `_uses`, the row log and its dead counts) is
-shared along a context's chain of views, not copied: a superseded view's
-classes stay readable, but only the newest view is patched and answers the
-join's lookups.
+copy gets it back; an entry never names a class that no longer holds its
+row), and `clashes` lists pairs of live classes holding a common row, the
+predecessor's still apart included: any two classes that share a row are
+joined through them, so merging them restores congruence; with no clash,
+`_sig[row]` is the one class holding row. So a logged row is
+still held by its class when its `_sig` entry names that class, a dict
+probe; only with a clash reported is a class's rows scanned as well
+(`_live`). The patch state (`_sig`, `_uses`, the row log and its dead
+counts) is shared along a context's chain of views, not copied: a
+superseded view's classes stay readable, but only the newest view is
+patched and answers the join's lookups.
+
+Parent index: `_uses` maps a child class to the classes holding a row over
+it, a tuple while they are at most `_FAN`, else a dict (keys only), so that
+a listing is tested and added in expected constant time however many
+parents a child has. A class whose rows move into another leaves its rows'
+children's lists, its new class taking its place there, so only live
+parents are listed. A first view's seed copies the mapping, not its
+containers: both chains then share every dict, and each copies a dict on
+its first write to it (`_own`, the children whose dict a chain owns).
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node, class)`,
@@ -56,8 +68,8 @@ classes in `_uses`. The patch's own state is thus the only index of
 rule's one root row in `_sig`.
 
 Rule compiler and join plans: `_compile` turns a left-hand side into a
-conjunctive query (`_Query`) and `_compile_rhs` a right-hand side into
-steps over a match (see the rewrite module). `plan_join` fixes once per
+conjunctive query (`_Query`; `egraph._compile_rhs` compiles a right-hand
+side, see the rewrite module). `plan_join` fixes once per
 compiled query, for each atom a join can start from, the visit order, how
 each atom is reached (through a bound class or as a parent) and which
 fields bind, check or repeat a slot, each plan in time linear in the
@@ -77,6 +89,10 @@ from typing import NamedTuple
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
 
+# a class's parents in `CanonicalView._uses` are a tuple up to this many,
+# a dict past it
+_FAN = 8
+
 
 @dataclass(slots=True)
 class CanonicalView:
@@ -89,16 +105,18 @@ class CanonicalView:
     # pairs of live classes holding a common row; cached views only
     clashes: list = field(default_factory=list, compare=False, repr=False)
     # patch state of a cached view (see the module docstring): row -> class,
-    # child class -> tuple of parent classes (ints only, which the cyclic
-    # garbage collector does not track), symbol -> row log of (version,
-    # node, class) entries, symbol -> dead entries in its log, and the
-    # change-log positions read: (len(lost[BOTTOM]), len(lost[context]),
-    # ids made)
+    # child class -> its parent classes, a tuple or a dict to None (ints
+    # only, which the cyclic garbage collector does not track), symbol ->
+    # row log of (version, node, class) entries, symbol -> dead entries in
+    # its log, and the change-log positions read: (len(lost[BOTTOM]),
+    # len(lost[context]), ids made)
     _sig: dict = field(default_factory=dict, compare=False, repr=False)
     _uses: dict = field(default_factory=dict, compare=False, repr=False)
     _log: dict = field(default_factory=dict, compare=False, repr=False)
     _dead: dict = field(default_factory=dict, compare=False, repr=False)
     _marks: tuple = field(default=(0, 0, 0), compare=False, repr=False)
+    # the children whose parent dict in _uses is this chain's own
+    _own: set = field(default_factory=set, compare=False, repr=False)
 
     def class_ids(self) -> list[ClassId]:
         return sorted(self.classes)
@@ -108,13 +126,14 @@ class CanonicalView:
 
     def _rows(self, symbol: FunctionSymbol, since: int) -> list[tuple[ENode, ClassId]]:
         """Rows (node, class) of symbol logged after since that the view
-        still holds; the log rises in version, so the walk back stops at
-        since."""
-        out = []
+        still holds, tested as `_live` tests them; the log rises in version,
+        so the walk back stops at since."""
+        out, get = [], self._sig.get
+        classes = self.classes if self.clashes else {}
         for version, node, c in reversed(self._log.get(symbol, ())):
             if version <= since:
                 break
-            if node in self.classes.get(c, ()):
+            if get(node) == c or node in classes.get(c, ()):
                 out.append((node, c))
         return out
 
@@ -158,22 +177,43 @@ def marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
 def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
     """Record rows of class c in the view's sig and uses, and a clash with
     the class already holding a row."""
-    sig, uses = view._sig, view._uses
+    sig, uses, own = view._sig, view._uses, view._own
     for row in rows:
         other = sig.setdefault(row, c)
         if other != c:
             view.clashes.append((other, c))
         for ch in row.children:
             parents = uses.get(ch, ())
-            if c not in parents:
+            if c in parents:
+                continue
+            if type(parents) is tuple and len(parents) < _FAN:
                 uses[ch] = (*parents, c)
+                continue
+            # a tuple past _FAN, or a dict shared with another chain,
+            # becomes this chain's own dict
+            if type(parents) is tuple or ch not in own:
+                uses[ch] = parents = dict.fromkeys(parents)
+                own.add(ch)
+            parents[c] = None
+
+
+def _live(view: CanonicalView, entries: list) -> list:
+    """The row log entries whose row its class still holds: those whose
+    row's `_sig` entry names that class, and with a clash reported, as a
+    row may then be held by a class its entry does not name, those found
+    in their class's rows."""
+    get = view._sig.get
+    if view.clashes:
+        classes = view.classes
+        return [e for e in entries if get(e[1]) == e[2] or e[1] in classes.get(e[2], ())]
+    return [e for e in entries if get(e[1]) == e[2]]
 
 
 def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
     """The current view of prev's context, patched from prev and the change
     log since it; takes over prev's sig, uses, row log and dead counts."""
     ctx, find, canon = prev.context, eg.uf._find, eg.canonical_node
-    sig, uses, log, dead = prev._sig, prev._uses, prev._log, prev._dead
+    sig, uses, log, dead, own = prev._sig, prev._uses, prev._log, prev._dead, prev._own
     n_bot, n_ctx, n_ids = prev._marks
     # at bottom the two logs are one
     lost = eg.uf.lost[BOTTOM][n_bot:] + (eg.uf.lost[ctx][n_ctx:] if ctx != BOTTOM else [])
@@ -193,12 +233,30 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         dirty.setdefault(t, []).extend(rows)
         left += rows
         over.update(uses.pop(x, ()))
+        # x holds no row from now on, and t holds x's rows: t takes x's
+        # place among its rows' children's parents, or x just leaves
+        for n in rows:
+            for ch in n.children:
+                parents = uses.get(ch, ())
+                if x not in parents:
+                    continue
+                if len(parents) <= _FAN:
+                    # a dict that small is a tuple again
+                    parents = tuple(parents)
+                    i = parents.index(x)
+                    mid = () if t in parents else (t,)
+                    uses[ch] = parents[:i] + mid + parents[i + 1:]
+                    continue
+                if ch not in own:
+                    uses[ch] = parents = dict.fromkeys(parents)
+                    own.add(ch)
+                del parents[x]
+                parents[t] = None
     for i in range(n_ids, len(eg.uf)):
         dirty.setdefault(find(ctx, i), []).append(canon(ctx, eg.created[i]))
-    # a class dead before this patch holds no row: the live classes that
-    # took its rows over x are listed in uses[x] too
+    # uses lists only classes of prev, so a lost one's class is in into
     get = into.get
-    over = {get(p, p) for p in over if p in prev.classes}
+    over = {get(p, p) for p in over}
     # a class keeps its rows over no lost root as they are
     lost_roots = into.keys()
     work = []
@@ -228,7 +286,7 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
                 sig.setdefault(row, t)
     view = CanonicalView(
         ctx, classes, eg.version, _sig=sig, _uses=uses, _log=log, _dead=dead,
-        _marks=marks(eg, ctx),
+        _marks=marks(eg, ctx), _own=own,
     )
     # a clash is between classes of prev, so a lost one's class is in into
     for a, b in prev.clashes:
@@ -237,12 +295,17 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
             view.clashes.append((a, b))
     # a row's children are roots of prev, so a lost one's class is in into
     for t, keep, redo in work:
-        fresh = {
-            n if lost_roots.isdisjoint(n.children)
-            else ENode(n.symbol, tuple(map(get, n.children, n.children)))
-            for n in redo
-        }
-        new = sorted(fresh.difference(keep))
+        if len(redo) == 1 and lost_roots.isdisjoint(redo[0].children):
+            # one row over no lost root, such as a new id's (three in four
+            # on `ac`), needs no set, difference or sort
+            new = [] if redo[0] in keep else redo
+        else:
+            fresh = {
+                n if lost_roots.isdisjoint(n.children)
+                else ENode(n.symbol, tuple(map(get, n.children, n.children)))
+                for n in redo
+            }
+            new = sorted(fresh.difference(keep))
         classes[t] = tuple(sorted([*keep, *new]) if new else keep)
         _add_rows(view, t, new)
         for n in new:
@@ -252,7 +315,7 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         dead[n.symbol] = dead.get(n.symbol, 0) + 1
     for sym in {n.symbol for n in left}:
         if 2 * dead[sym] > len(entries := log[sym]):
-            entries[:] = [e for e in entries if e[1] in classes.get(e[2], ())]
+            entries[:] = _live(view, entries)
             dead[sym] = 0
     return view
 
@@ -288,14 +351,17 @@ class ViewCache:
             return CanonicalView(BOTTOM, {}, 0)
         covers = eg.lattice.covers(ctx)
         base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
-        log, classes, dead = base._log, base.classes, base._dead
+        log, dead = base._log, base._dead
         for sym, n in dead.items():
             if n:
                 entries = log[sym]
-                entries[:] = [e for e in entries if e[1] in classes.get(e[2], ())]
+                entries[:] = _live(base, entries)
                 dead[sym] = 0
+        # both chains now share every parent dict: each copies one on its
+        # first write
+        base._own.clear()
         return CanonicalView(
-            ctx, classes, base.version, base.clashes, base._sig.copy(), base._uses.copy(),
+            ctx, base.classes, base.version, base.clashes, base._sig.copy(), base._uses.copy(),
             {sym: entries.copy() for sym, entries in log.items()}, {},
             (base._marks[0], 0, base._marks[2]),
         )
@@ -374,27 +440,6 @@ def _compile(pattern) -> _Query:
         ground = tuple(at[s] for s in atoms[0][1])
     plans = plan_join(atoms, consts, [slots[n] for n in names])
     return _Query(atoms, consts, names, plans, tuple(dict.fromkeys(a[0] for a in atoms)), ground)
-
-
-def _compile_rhs(pattern, names: list) -> tuple[list, int]:
-    """A right-hand side's steps (symbol, args), in post-order with children
-    left to right, the order a recursive instantiation adds them in, over a
-    match's slot tuple: an arg is a position in the tuple extended by the
-    steps' classes (the root at 0, the variables in name order from 1, then
-    step i at 1 + len(names) + i). Also the position of its class."""
-    at = {name: k for k, name in enumerate(names, 1)}
-    steps, vals, todo = [], [], [(pattern, False)]
-    while todo:
-        p, ready = todo.pop()
-        if hasattr(p, "name"):
-            vals.append(at[p.name])
-        elif ready:
-            k = len(vals) - len(p.args)
-            steps.append((p.symbol, tuple(vals[k:])))
-            vals[k:] = [len(at) + len(steps)]
-        else:
-            todo += [(p, True), *((a, False) for a in reversed(p.args))]
-    return steps, vals[0]
 
 
 def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:

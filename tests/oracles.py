@@ -193,7 +193,11 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     child at pos is child. Every row a class holds must have a `_sig`
     entry, clashes or not: a rule whose root's arguments are all constants
     returns no match when its one root row has none. When the view reports
-    no clashes, `_sig[row]` must be the class holding each row.
+    no clashes, `_sig[row]` must be the class holding each row. Clashes or
+    not, every `_sig` entry must name a class that holds its row, so that an
+    entry naming a logged row's class tells that the row is still held.
+    Every class listed in `_uses` under a child must hold a row over it: a
+    class that lost its rows leaves its children's lists.
     """
 
     def rows(v):
@@ -220,6 +224,13 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
             return f"no _sig entry for {n} of {c} at context {view.context}"
         if not view.clashes and view._sig[n] != c:
             return f"_sig[{n}] is not {c} at context {view.context}"
+    for n, c in view._sig.items():
+        if (n, c) not in held:
+            return f"_sig[{n}] names {c}, which does not hold it, at context {view.context}"
+    for child, listed in view._uses.items():
+        for c in listed:
+            if not any(child in n.children for n in view.nodes_of(c)):
+                return f"_uses[{child}] lists {c}, with no row over it, at context {view.context}"
     return None
 
 

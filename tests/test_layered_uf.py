@@ -318,6 +318,47 @@ def test_intersection_on_nested_branches_agrees_with_grouping_every_id():
     assert dropped >= 100
 
 
+def test_intersection_unions_no_group_head_with_itself():
+    """Proof by cases unions a group's members with its head, and a head
+    with itself merges nothing: no union call of intersect_into repeats an
+    id, so a key alone in its group, most groups here, costs none. The
+    counts still agree with the reference."""
+    calls = keys = 0
+    for seed in range(150):
+        rng = random.Random(seed + 62000)
+        lat = ContextLattice()
+        uf, ref = LayeredUnionFind(lat), NaiveLayered(lat)
+        for _ in range(rng.randint(4, 12)):
+            uf.make_set()
+            ref.make_set()
+        pairs = []
+        union = uf._union
+
+        def counted(ctx, a, b):
+            pairs.append((a, b))
+            return union(ctx, a, b)
+
+        for _ in range(20):
+            g = rng.randrange(len(lat))
+            if rng.random() < 0.2 and len(lat) < 7:
+                c1, c2 = (lat.declare_context(f"c{len(lat)}", {g}) for _ in range(2))
+                for _ in range(rng.randint(1, 4)):
+                    c, a, b = rng.choice((c1, c2)), rng.randrange(ref.n), rng.randrange(ref.n)
+                    uf.union_new(c, a, b)
+                    ref.union(c, a, b)
+                keys += len(uf._overlay_for(c1).keys() | uf._overlay_for(c2).keys())
+                uf._union, pairs[:] = counted, []
+                assert uf.intersect_into(g, c1, c2) == ref.intersect_into(g, c1, c2)
+                del uf._union
+                assert all(a != b for a, b in pairs), f"seed={seed}"
+                calls += len(pairs)
+            else:
+                c, a, b = rng.randrange(len(lat)), rng.randrange(ref.n), rng.randrange(ref.n)
+                uf.union_new(c, a, b)
+                ref.union(c, a, b)
+    assert keys > 2 * calls > 0
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_random_scripts_hypothesis(seed):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ctxsat.dsl import run_source
 from ctxsat.egraph import ENode, FunctionSymbol, node_key
-from ctxsat import rewrite
+from ctxsat import rewrite, views
 from ctxsat.rewrite import PatternApp, PatternVar, Rule
 from ctxsat.views import OnTheFlyProvider, plan_join
 
@@ -424,3 +424,63 @@ def test_a_deep_rule_compiles_fast():
     assert min(times) < 0.5
     plans = eng._compiled["deep"][0].plans
     assert len(plans) == 400 and all(len(steps) == 399 for _, steps, _ in plans.values())
+
+
+def test_a_seeded_parent_index_keeps_each_contexts_parents_apart():
+    """A first view above bottom copies its cover's parent index, not its
+    containers. Child k has more parents than a tuple holds, so its parents
+    are a dict that the views of bottom, cover and inner then share. Merges
+    put new parents over k at one context only: at inner, p(x) becomes
+    p(k) once x joins k, the first write to the shared dict, and h(b_i)
+    takes the row g(k, b_i) of the class it absorbs; then the same at cover
+    for the other g classes. Then inner2 is seeded from cover, which has
+    written to k's dict since its own seed, and merges h(b0) into b0 before
+    cover merges g(k, b0) into h(b0): cover must copy the dict it now shares
+    with inner2 rather than list h(b0), dead at inner2, there. After every
+    step each context's parent lookups equal a brute-force filter, and its
+    index lists under k exactly the classes holding a row over k, so no
+    context sees another's additions and a class that lost its rows is
+    listed nowhere."""
+    n = 2 * views._FAN + 4
+    eg = EGraph()
+    for name, arity in [("a", 0), ("x", 0), ("h", 1), ("p", 1), ("g", 2)]:
+        eg.declare_function(name, arity)
+    for i in range(n):
+        eg.declare_function(f"b{i}", 0)
+    k, x = eg.intern(term("a")), eg.intern(term("x"))
+    px = eg.intern(term("p", term("x")))
+    hs = [eg.intern(term("h", term(f"b{i}"))) for i in range(n)]
+    gs = [eg.intern(term("g", term("a"), term(f"b{i}"))) for i in range(n)]
+    b0 = eg.intern(term("b0"))
+    eg.rebuild()
+    cover = eg.declare_context("cover", {BOTTOM})
+    inner = eg.declare_context("inner", {cover})
+    assert type(eg.views.get(BOTTOM)._uses[k]) is dict
+    contexts = [BOTTOM, cover, inner]
+    for c in contexts:
+        eg.views.get(c)
+    half = n // 2
+    steps = [
+        (inner, [(k, x)]),
+        (inner, [(hs[i], gs[i]) for i in range(1, half)]),
+        (cover, [(hs[i], gs[i]) for i in range(half, n)]),
+        ("inner2", [(b0, hs[0])]),
+        (cover, [(hs[0], gs[0])]),
+    ]
+    for at, pairs in steps:
+        if at == "inner2":
+            at = eg.declare_context("inner2", {cover})
+            contexts.append(at)
+            eg.views.get(at)
+        for a, b in pairs:
+            eg.merge(at, a, b)
+        for c in contexts:
+            view = eg.views.get(c)
+            assert view_index_mismatch(view, None, eg.symbols()) is None, f"ctx={c}"
+            over_k = {cls for cls, rows in view.classes.items() for r in rows if k in r.children}
+            assert set(view._uses[k]) == over_k, f"ctx={c}"
+    listed = [set(eg.views.get(c)._uses[k]) for c in contexts]
+    assert listed[0] == set(gs)
+    assert listed[1] == set(hs[:1] + gs[1:half] + hs[half:])
+    assert listed[2] == {px, *hs}
+    assert listed[3] == {b0, *gs[1:half], *hs[half:]}
