@@ -34,11 +34,11 @@ the public entry points; the engine's own adds go through `_add`, which
 trusts its ids and builds an ENode only for a node it stores.
 
 Right-hand sides are probed, as in egg's hash-consing: `_instantiate` runs
-a rule's compiled right-hand side (`_compile_rhs`) over its matches, and a
-step whose node is already stored costs an inline root test per child (an
-id whose parent is a base root needs no find call) and one probe of the
-node store, with no call of `_add`, which only a miss reaches. Each match
-then makes its one union.
+a rule's compiled right-hand side (see the rewrite module) over its
+matches, and a step whose node is already stored costs an inline root
+test per child (an id whose parent is a base root needs no find call) and
+one probe of the node store, with no call of `_add`, which only a miss
+reaches. Each match then makes its one union.
 
 `intern` keeps a memo keyed by object identity: for each term object it was
 called on, the term and the class it was interned into. An entry holds its
@@ -120,27 +120,6 @@ class Term(NamedTuple):
 
 def term(symbol: str, *children: Term) -> Term:
     return Term(symbol, tuple(children))
-
-
-def _compile_rhs(pattern, names: list) -> tuple[list, int]:
-    """A right-hand side's steps (symbol, args), in post-order with children
-    left to right, the order a recursive instantiation adds them in, over a
-    match's slot tuple: an arg is a position in the tuple extended by the
-    steps' classes (the root at 0, the variables in name order from 1, then
-    step i at 1 + len(names) + i). Also the position of its class."""
-    at = {name: k for k, name in enumerate(names, 1)}
-    steps, vals, todo = [], [], [(pattern, False)]
-    while todo:
-        p, ready = todo.pop()
-        if hasattr(p, "name"):
-            vals.append(at[p.name])
-        elif ready:
-            k = len(vals) - len(p.args)
-            steps.append((p.symbol, tuple(vals[k:])))
-            vals[k:] = [len(at) + len(steps)]
-        else:
-            todo += [(p, True), *((a, False) for a in reversed(p.args))]
-    return steps, vals[0]
 
 
 class EGraph:

@@ -67,14 +67,12 @@ classes in `_uses`. The patch's own state is thus the only index of
 `_join`, the join that `Engine.ematch` runs here, and of the probe of a
 rule's one root row in `_sig`.
 
-Rule compiler and join plans: `_compile` turns a left-hand side into a
-conjunctive query (`_Query`; `egraph._compile_rhs` compiles a right-hand
-side, see the rewrite module). `plan_join` fixes once per
-compiled query, for each atom a join can start from, the visit order, how
-each atom is reached (through a bound class or as a parent) and which
-fields bind, check or repeat a slot, each plan in time linear in the
-query's atoms; `_join` runs a plan on flat tuples, with no search and no
-binding per field.
+Join plans: `plan_join` fixes once per compiled query (see the rewrite
+module), for each atom a join can start from, the visit order, how each
+atom is reached (through a bound class or as a parent) and which fields
+bind, check or repeat a slot, each plan in time linear in the query's
+atoms; `_join` runs a plan on flat tuples, with no search and no binding
+per field.
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol
 from .lattice import BOTTOM, ContextId
@@ -395,51 +392,6 @@ class OnTheFlyProvider:
             got = tuple(sorted(self.eg.class_nodes(self.ctx, c)))
             self._memo[c] = got
         return got
-
-
-class _Query(NamedTuple):
-    """A compiled left-hand side: atoms (symbol, argument slots, class
-    slot), root first with its class in slot 0; the constants (nullary
-    atoms other than the root), by atom index; the variable names, sorted;
-    the static join plan from each non-constant atom (`plan_join`); the
-    atoms' distinct symbols; and, when every argument of the root is a
-    constant, the position of each argument's class in the constants'
-    classes (else None)."""
-
-    atoms: list
-    consts: tuple
-    names: list
-    plans: dict
-    symbols: tuple
-    ground: tuple | None
-
-
-def _compile(pattern) -> _Query:
-    """The query of a pattern of the rewrite module: a variable (with a
-    `name`) or an application (a `symbol` and its `args`)."""
-    # pre-order without recursion: a var's slot is its first visit's, an
-    # application's atom is filled in once its args' slots end `vals`
-    atoms, slots, vals, todo = [], {}, [], [(pattern, None)]
-    while todo:
-        p, i = todo.pop()
-        if i is not None:
-            k = len(vals) - len(p.args)
-            atoms[i] = (p.symbol, tuple(vals[k:]), vals[k - 1])
-            del vals[k:]
-        elif hasattr(p, "name"):
-            vals.append(slots.setdefault(p.name, len(slots) + len(atoms)))
-        else:
-            vals.append(len(slots) + len(atoms))
-            todo.append((p, len(atoms)))
-            atoms.append(None)
-            todo += [(a, None) for a in reversed(p.args)]
-    consts = tuple(i for i, atom in enumerate(atoms) if i and not atom[1])
-    names = sorted(slots)
-    at, ground = {atoms[j][2]: k for k, j in enumerate(consts)}, None
-    if atoms and at.keys() >= set(atoms[0][1]):
-        ground = tuple(at[s] for s in atoms[0][1])
-    plans = plan_join(atoms, consts, [slots[n] for n in names])
-    return _Query(atoms, consts, names, plans, tuple(dict.fromkeys(a[0] for a in atoms)), ground)
 
 
 def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:

@@ -2,7 +2,7 @@
 
 `EGraph._instantiate` adds a right-hand side's stored nodes by a probe of
 the node store, and `Engine.apply_scopes` skips the classes from which no
-construct can be reached (`rewrite._reach`). Forcing both back to the plain
+construct can be reached (`scopes._reach`). Forcing both back to the plain
 path, every step through `_add` and a walk over every class, must leave
 `scripts/fingerprint.py`'s digests of every program unchanged.
 """
@@ -11,7 +11,7 @@ import itertools
 import sys
 from pathlib import Path
 
-from ctxsat import rewrite
+from ctxsat import scopes
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
 from ctxsat.egraph import EGraph
 
@@ -69,15 +69,15 @@ class CountedReach(set):
 
 def test_probed_applications_and_the_pruned_walk_change_no_digest(monkeypatch):
     sources = families()
-    reach = rewrite._reach
+    reach = scopes._reach
     skipped = {}
     fast = {}
     for name, family in sources.items():
         CountedReach.skipped = 0
-        monkeypatch.setattr(rewrite, "_reach", lambda v, s: CountedReach(reach(v, s)))
+        monkeypatch.setattr(scopes, "_reach", lambda v, s: CountedReach(reach(v, s)))
         fast[name] = [fingerprint.digests(source) for source in family]
         skipped[name] = CountedReach.skipped
-    monkeypatch.setattr(rewrite, "_reach", every_class)
+    monkeypatch.setattr(scopes, "_reach", every_class)
     monkeypatch.setattr(EGraph, "_instantiate", through_add)
     for name, family in sources.items():
         for i, source in enumerate(family):

@@ -26,7 +26,7 @@ from ctxsat.dsl import (
     Program, RunCmd, _forms, _term, _term_to_pattern, execute, parse_program, run_source,
 )
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
-from ctxsat import rewrite
+from ctxsat import rewrite, scopes
 from ctxsat.rewrite import pattern_vars
 from ctxsat.views import marks
 
@@ -616,7 +616,7 @@ def test_intersection_only_promotes_pairs_shared_by_both_branches():
     for rule in eng.rules:
         query, rhs = eng._compiled[rule.name]
         for ctx in eng._admissible_contexts(rule.scope):
-            eng._apply(ctx, rhs, eng.ematch(ctx, query))
+            eng.eg._instantiate(ctx, rhs, eng.ematch(ctx, query))
     eg.rebuild()
     then, els = eg.context("then"), eg.context("else")
 
@@ -1154,8 +1154,8 @@ def test_lambda_lifts_by_a_stored_leaf_as_by_extraction(monkeypatch):
         "(extract bot (app (lam x (var x)) 2))\n"
     )
     extractions = []
-    real = rewrite.extract_from_view
-    monkeypatch.setattr(rewrite, "extract_from_view", lambda *a: extractions.append(1) or real(*a))
+    real = scopes.extract_from_view
+    monkeypatch.setattr(scopes, "extract_from_view", lambda *a: extractions.append(1) or real(*a))
 
     def runs():
         out = {}
@@ -1167,7 +1167,7 @@ def test_lambda_lifts_by_a_stored_leaf_as_by_extraction(monkeypatch):
     # a lift of the binder would nest body contexts without end
     with time_budget(30):
         with_leaves = runs()
-        monkeypatch.setattr(rewrite, "cheap_leaves", lambda eg, model: [])
+        monkeypatch.setattr(scopes, "cheap_leaves", lambda eg, model: [])
         without = runs()
     assert {k: v[0] for k, v in with_leaves.items()} == {k: v[0] for k, v in without.items()}
     lifted_by_leaf = {k for k in sources if with_leaves[k][1] < without[k][1]}

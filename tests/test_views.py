@@ -392,7 +392,7 @@ def test_plan_join_agrees_with_the_scan_on_random_patterns(monkeypatch):
         compiled.append(args)
         return plan_join(*args)
 
-    monkeypatch.setattr("ctxsat.views.plan_join", record)
+    monkeypatch.setattr("ctxsat.rewrite.plan_join", record)
     # the branching symbols twice, for larger patterns
     arities = [("a", 0), ("b", 0), ("f", 1), ("g", 2), ("h", 3), ("g", 2), ("h", 3)]
     symbols = [FunctionSymbol(n, a) for n, a in arities]
