@@ -8,13 +8,18 @@ then runs in ABBA order (A, B, B, A), with the garbage collector paused
 around each call and every op's own verdict checked. A round sums each
 side's times over all ops, each weighted by how often a benchmark round
 runs it (`distinct_ops`), so that the sum stands for a benchmark round; its
-speed-up is A's sum over B's. Prints the median speed-up over the rounds
-and its quartiles, then, for each op family (`tower-dN` by tower depth,
-`lambda-dN` by chain depth, `ac-nN` by sum length; a `query` op counts in
-its graph's family), the median over the rounds of its weighted A and B
-sums and of its speed-up, so that one can see where a gain lands:
+speed-up is A's sum over B's. Prints the median speed-up over the rounds,
+its quartiles and how many rounds B won (a speed-up above 1; a gain is
+claimed only when B wins at least nine rounds in ten), then, for each op
+family (`tower-dN` by tower depth, `lambda-dN` by chain depth, `ac-nN` by
+sum length; a `query` op counts in its graph's family), the median over the
+rounds of its weighted A and B sums and of its speed-up, so that one can
+see where a gain lands:
 
-    python3 scripts/ab_time.py --workload scopes --a ../before --b . --rounds 10
+    python3 scripts/ab_time.py --workload scopes --a ../before --b .
+
+It runs 20 rounds unless `--rounds` says otherwise: fewer do not resolve a
+1-2% effect on a small VM shared with other loads.
 
 `--workload deep` is no benchmark workload: it times the nested towers of
 depth 32 and 64 and the lambda chain of depth 6 (`tower_op(32, 1)`,
@@ -22,9 +27,9 @@ depth 32 and 64 and the lambda chain of depth 6 (`tower_op(32, 1)`,
 slower at depth.
 
 `--a` and `--b` are checkout roots (each with src/ctxsat/); a speed-up
-above 1 means B is faster. On a 2-vCPU VM a round of `scopes` takes about
-4 s, of `ac` about 2 s, of `query` under 1 s and of `deep` about 1 s, after
-a set-up of a few seconds per side.
+above 1 means B is faster. On a 2-vCPU Xeon VM, 20 rounds of `scopes` or
+of `query` take about 1.5 minutes, of `ac` or of `deep` about 15 s, set-up
+included.
 """
 
 import argparse
@@ -113,6 +118,15 @@ def family_lines(rounds: list[dict]) -> list[str]:
     return lines
 
 
+def summary_line(workload: str, n_ops: int, ratios: list[float]) -> str:
+    """The verdict over the rounds' speed-ups: their median and quartiles,
+    and the rounds B won (a speed-up above 1; a tie counts for neither)."""
+    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    wins = sum(r > 1 for r in ratios)
+    return (f"{workload}: {n_ops} ops, {len(ratios)} rounds, speed-up x{med:.3f} "
+            f"(IQR {q1:.3f}-{q3:.3f}), B won {wins} of {len(ratios)} rounds")
+
+
 def timed(op, aliases: dict) -> float:
     sys.modules.update(aliases)
     gc.collect()
@@ -130,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=["scopes", "ac", "query", "deep"], required=True)
     parser.add_argument("--a", type=Path, required=True, help="the baseline checkout root")
     parser.add_argument("--b", type=Path, default=ROOT, help="the checkout root to compare")
-    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -158,9 +172,7 @@ def main(argv=None) -> int:
         ratios.append(sum_a / sum_b)
         print(f"round {len(ratios)}: A {sum_a / 2:.3f} s, B {sum_b / 2:.3f} s, "
               f"speed-up x{ratios[-1]:.3f}", flush=True)
-    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"{args.workload}: {len(ops_a)} ops, {args.rounds} rounds, "
-          f"speed-up x{med:.3f} (IQR {q1:.3f}-{q3:.3f})")
+    print(summary_line(args.workload, len(ops_a), ratios))
     print("\n".join(family_lines(rounds)))
     return 0
 

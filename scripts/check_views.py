@@ -5,13 +5,16 @@ Runs `fingerprint.programs()` (the shipped corpora and the benchmark's seed-1
 `scopes` and `ac` programs) with `ViewCache.get` wrapped from outside. Every
 view a get returns must be current: its `_marks` equal the change log's
 positions for its context (the lengths of the bottom and context lost logs,
-and the id count), which is what the cache reuses a view by. Each time a
-get returns a view it has not returned before for that cache and context,
-seven things must hold too:
+and the id count), which is what the cache reuses a view by. A cache
+patches each context's one view in place, so a patch shows as its `_marks`
+or `version` moving. Each time a get returns a view of a context that is
+new to that cache, or patched since the context's last check there, seven
+things must hold too:
 
 - its classes equal those of a fresh `build_view`;
-- `_rows(symbol, since)`, with since the version of the context's previous
-  view (-1 for its first), lists the rows held now and not then;
+- `_rows(symbol, since)`, with since the version snapshotted at the
+  context's previous check (-1 for its first), lists the rows held now and
+  not in the classes snapshotted then;
 - `_rows(symbol, -1)` lists every row of symbol it holds (a first join
   reads it);
 - `_parents(symbol, pos, child)` equals a brute-force filter of its classes;
@@ -42,16 +45,16 @@ from ctxsat.lattice import BOTTOM  # noqa: E402
 from ctxsat.views import ViewCache, build_view  # noqa: E402
 
 from fingerprint import programs  # noqa: E402
-from oracles import view_index_mismatch  # noqa: E402
+from oracles import snapshot, view_index_mismatch  # noqa: E402
 
 
 class ViewChecker:
     """Checks each view a wrapped `ViewCache.get` returns: its marks every
-    time, the rest the first time."""
+    time, the rest after each patch."""
 
     def __init__(self):
         self.checked = 0
-        # cache -> context -> the last view its get returned
+        # cache -> context -> (marks, snapshot) of its view at its last check
         self._last = weakref.WeakKeyDictionary()
 
     def wrap(self, get):
@@ -62,14 +65,14 @@ class ViewChecker:
             if view._marks != (len(lost[BOTTOM]), len(lost[ctx]), len(eg.uf)):
                 raise AssertionError(f"a view at context {ctx} behind the change log")
             last = self._last.setdefault(cache, {})
-            prev = last.get(ctx)
-            if view is not prev:
+            at, prev = last.get(ctx, (None, None))
+            if prev is None or (view._marks, view.version) != (at, prev[0]):
                 if view.classes != build_view(eg, ctx).classes:
                     raise AssertionError(f"classes at context {ctx} differ from build_view")
                 got = view_index_mismatch(view, prev, eg.symbols())
                 if got is not None:
                     raise AssertionError(got)
-                last[ctx] = view
+                last[ctx] = view._marks, snapshot(view)
                 self.checked += 1
             return view
 

@@ -18,20 +18,24 @@ c's, and c's new rows are those of the ids made since. `version` counts the
 ids made, the unions that merged and the contexts declared, so it moves with
 every change, a union made through `uf` directly included; semi-naive
 matching reads it as its clock. The e-graph owns one ViewCache, `views`,
-which patches each context's cached view from that log and reports the
-view's clashes: two live classes that hold the same canonical row, which
-congruence must merge. A repair, at bottom as at every other context, unions
-the clashes of the context's view until the patched view reports none, so
-its cost follows what changed. The bottom view is the class index
-(`classes`): bottom root -> its bottom-canonical nodes. The node store that
-add_node hash-conses against is re-keyed from the rows of the bottom view
-each bottom repair leaves. The cache holds the e-graph weakly, so the two
-form no reference cycle and reference counting frees them.
+which patches each context's one cached view in place from that log and
+reports the view's clashes: two live classes that hold the same canonical
+row, which congruence must merge. A repair, at bottom as at every other
+context, unions the clashes of the context's view until the patched view
+reports none, so its cost follows what changed. The bottom view is the
+class index (`classes`, live): bottom root -> its bottom-canonical nodes.
+The node store that add_node hash-conses against is re-keyed from the rows
+of the bottom view each bottom repair leaves. The cache holds the e-graph
+weakly, so the two form no reference cycle and reference counting frees
+them.
 
 FunctionSymbol, ENode and Term are named tuples, hashed and compared in C
-(each equals the plain tuple with the same fields). Ids are checked once, at
-the public entry points; the engine's own adds go through `_add`, which
-trusts its ids and builds an ENode only for a node it stores.
+(each equals the plain tuple with the same fields). The hot sites build an
+ENode from its (symbol, children) pair with the C tuple constructor
+(`_new(ENode, pair)`), not the named tuple's `__new__`, which runs in Python.
+Ids are checked once, at the public entry points; the engine's own adds go
+through `_add`, which trusts its ids and builds an ENode only for a node it
+stores.
 
 Right-hand sides are probed, as in egg's hash-consing: `_instantiate` runs
 a rule's compiled right-hand side (see the rewrite module) over its
@@ -86,6 +90,10 @@ class FunctionSymbol(NamedTuple):
 class ENode(NamedTuple):
     symbol: FunctionSymbol
     children: tuple[ClassId, ...]
+
+
+# tuple.__new__(ENode, (symbol, children)) builds an ENode in C
+_new = tuple.__new__
 
 
 def node_key(node: ENode):
@@ -187,7 +195,7 @@ class EGraph:
         # node's children must be known ids: they are not validated. An
         # unchanged node is returned as is, so views share the store's nodes
         children = tuple(map(self.uf._find, repeat(ctx), node.children))
-        return node if children == node.children else ENode(node.symbol, children)
+        return node if children == node.children else _new(ENode, (node.symbol, children))
 
     def add_node(self, symbol: FunctionSymbol, children: tuple[ClassId, ...]) -> ClassId:
         """Hash-cons an e-node; fresh nodes start as singleton classes."""
@@ -207,7 +215,7 @@ class EGraph:
         if existing is not None:
             return find(existing)
         cls = self.uf.make_set()
-        self.created.append(node := ENode(*key))
+        self.created.append(node := _new(ENode, key))
         self._nodes[node] = cls
         return cls
 
@@ -322,7 +330,8 @@ class EGraph:
         return self._nodes
 
     def classes(self) -> dict[ClassId, tuple[ENode, ...]]:
-        """The class index, the bottom view: root -> canonical nodes. Read-only."""
+        """The class index, the bottom view: root -> canonical nodes. Live:
+        the cache patches this dict in place, so do not change it."""
         return self.views.get(BOTTOM).classes
 
     def class_nodes(self, ctx: ContextId, c: ClassId) -> set[ENode]:

@@ -31,7 +31,11 @@ Two tests let a rule visit that cannot match cost a few dictionary probes
 none of its query's distinct symbols logged a row since. A rule whose
 root's arguments are all constants has one root row once the constants are
 bound, and every row a view's class holds has a `_sig` entry, so when that
-row has none the call returns before any join, first or delta.
+row has none the call returns before any join, first or delta. With no
+clash reported the entry is the one class holding the row, so that entry
+decides such a visit with no join at all (`_ground`): its one match is the
+row's class, in a delta call only if the row was logged in it since. With
+clashes, and under Strategy.ON_THE_FLY, the rule joins as any other.
 
 Each rule compiles once, in `add_rule`, and only this module reads the
 pattern classes' fields: `_compile` turns its left-hand side into a query
@@ -283,7 +287,8 @@ class Engine:
                 if cls is None:
                     return []
                 fixed.append(eg.uf._find(ctx, cls))
-            if ground is not None and _absent(db, atoms[0][0], fixed, ground):
+            f = atoms[0][0]
+            if ground is not None and _absent(db, f, fixed, ground):
                 return []
             # a constant's new row is in every match
             if since is not None:
@@ -291,16 +296,17 @@ class Engine:
                     if db._newest(atoms[j][0]) > since and db._rows(atoms[j][0], since):
                         since = None
                         break
-            if since is not None:
-                starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
+            if ground is not None and not db.clashes:
+                found = _ground(db, f, fixed, ground, since)
             else:
-                f = atoms[0][0]
-                if strategy is Strategy.ON_THE_FLY:
+                if since is not None:
+                    starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
+                elif strategy is Strategy.ON_THE_FLY:
                     seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
+                    starts = [(plans[0], seeds)]
                 else:
-                    seeds = db._rows(f, -1)
-                starts = [(plans[0], seeds)]
-            found = {m for plan, seeds in starts for m in _join(db, plan, fixed, seeds)}
+                    starts = [(plans[0], db._rows(f, -1))]
+                found = {m for plan, seeds in starts for m in _join(db, plan, fixed, seeds)}
         matches = sorted(found)
         if query is pattern:
             return matches
@@ -378,3 +384,14 @@ def _absent(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> bool:
     """Whether no class of the view holds the root row over the constants'
     classes; every row a class holds has a `_sig` entry."""
     return (symbol, tuple([fixed[k] for k in ground])) not in db._sig
+
+
+def _ground(db, symbol: FunctionSymbol, fixed: list, ground: tuple, since: int | None) -> list:
+    """The match of a query whose root's arguments are all constants, in a
+    view reporting no clash: its one root row's class, the `_sig` entry,
+    if the view holds the row, and with since, if it was logged after."""
+    row = (symbol, tuple([fixed[k] for k in ground]))
+    c = db._sig.get(row)
+    if c is None or since is not None and not db._logged(row, c, since):
+        return []
+    return [(c,)]

@@ -6,7 +6,7 @@ coarser contexts are never larger than views of finer ones.
 
 E-matching, lambda lifting and congruence repair read the cached view of a
 context, and the bottom view is the e-graph's class index. The e-graph owns
-the one cache (`EGraph.views`), which replaces a view only once the change
+the one cache (`EGraph.views`), which patches a view only once the change
 log that can change its context has moved (the roots lost at bottom and at
 the context, and the ids made; see the egraph module), so a merge in one
 branch keeps the views of its siblings, and a change made through the
@@ -16,30 +16,29 @@ cached view against, and no engine path uses it. Extraction builds a fresh
 view with `build_view`, which tests also take as the reference; stats and
 read-only queries scan the node store.
 
-Patching: every cached view is patched from its predecessor and the change
-log (the roots lost at bottom and at the context, the nodes of the ids
-created since). Bottom's first view is patched from an empty one; any other
-context's first view is a copy of its cover's current view (of the bottom
-view if it has several covers) patched from the whole log of the context's
+Patching: the cache keeps one view per context and patches it in place
+from the change log (the roots lost at bottom and at the context, the nodes
+of the ids created since): its classes, clashes, version and marks, and its
+patch state, so a view anyone holds is the current one once a get has
+patched it. Bottom's view starts empty; any other context's starts as a
+copy of its cover's current view (of the bottom view if it has several
+covers), made once, and is patched from the whole log of the context's
 layer. The links the context copied from its cover at declaration lost no
 class of that view, so only the context's own merges move rows. Only rows
 that can change are re-canonicalized: a lost root's rows, which move into
 its class now, new ids' rows, and the rows over a lost root of the classes
-using it (`_uses`, the parent index); every other row keeps its entries.
-An old row's children are roots of the previous view, so it is
-re-canonicalized through the lost roots' classes, with no find. `_sig`
-maps a row to a class holding it (a kept row whose entry left with a moved
-copy gets it back; an entry never names a class that no longer holds its
-row), and `clashes` lists pairs of live classes holding a common row, the
-predecessor's still apart included: any two classes that share a row are
+using it (`_uses`, the parent index); every other row keeps its entries,
+and a class's rows tuple is replaced exactly when its rows change. An old
+row's children are roots before the patch, so it is re-canonicalized
+through the lost roots' classes, with no find. `_sig` maps a row to a
+class holding it (a kept row whose entry left with a moved copy gets it
+back; an entry never names a class that no longer holds its row), and
+`clashes` lists pairs of live classes holding a common row, those still
+apart from before the patch included: any two classes that share a row are
 joined through them, so merging them restores congruence; with no clash,
-`_sig[row]` is the one class holding row. So a logged row is
-still held by its class when its `_sig` entry names that class, a dict
-probe; only with a clash reported is a class's rows scanned as well
-(`_live`). The patch state (`_sig`, `_uses`, the row log and its dead
-counts) is shared along a context's chain of views, not copied: a
-superseded view's classes stay readable, but only the newest view is
-patched and answers the join's lookups.
+`_sig[row]` is the one class holding row. So a logged row is still held by
+its class when its `_sig` entry names that class, a dict probe; only with a
+clash reported is a class's rows scanned as well (`_live`).
 
 Parent index: `_uses` maps a child class to the classes holding a row over
 it, a tuple while they are at most `_FAN`, else a dict (keys only), so that
@@ -52,7 +51,7 @@ its first write to it (`_own`, the children whose dict a chain owns).
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node, class)`,
-at the new view's version, the e-graph's `version` at the patch (a later
+at the patched view's version, the e-graph's `version` at the patch (a later
 patch follows a change, so it logs at a higher version); a first view starts
 from the live entries of the log of the view it copies. An entry dies when
 its row leaves its class; a patch counts those per symbol (`_dead`) and drops
@@ -63,9 +62,10 @@ log, so `_rows(symbol, since)` walks it back to since and keeps the rows
 the view still holds: the delta semi-naive matching joins from (see the
 rewrite module), and with since = -1 every row of the symbol, which a first
 join starts from. `_parents` reads the rows over a child class from the
-classes in `_uses`. The patch's own state is thus the only index of
-`_join`, the join that `Engine.ematch` runs here, and of the probe of a
-rule's one root row in `_sig`.
+classes in `_uses`, and `_logged` whether one row was logged in a class
+after since. The patch's own state is thus the only index of `_join`, the
+join that `Engine.ematch` runs here, and of the probe of a rule's one root
+row in `_sig`.
 
 Join plans: `plan_join` fixes once per compiled query (see the rewrite
 module), for each atom a join can start from, the visit order, how each
@@ -83,7 +83,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .egraph import ClassId, EGraph, ENode, FunctionSymbol
+from .egraph import ClassId, EGraph, ENode, FunctionSymbol, _new
 from .lattice import BOTTOM, ContextId
 
 # a class's parents in `CanonicalView._uses` are a tuple up to this many,
@@ -93,8 +93,9 @@ _FAN = 8
 
 @dataclass(slots=True)
 class CanonicalView:
-    """One context's canonicalized database; read-only once made (not
-    frozen, which would make each patch's new view slower to build)."""
+    """One context's canonicalized database. A cached view is patched in
+    place (see the module docstring); a view from `build_view` is never
+    changed."""
 
     context: ContextId
     classes: dict[ClassId, tuple[ENode, ...]]
@@ -133,6 +134,15 @@ class CanonicalView:
             if get(node) == c or node in classes.get(c, ()):
                 out.append((node, c))
         return out
+
+    def _logged(self, row: ENode, c: ClassId, since: int) -> bool:
+        """Whether row was logged in class c after since."""
+        for version, node, k in reversed(self._log.get(row[0], ())):
+            if version <= since:
+                return False
+            if k == c and node == row:
+                return True
+        return False
 
     def _newest(self, symbol: FunctionSymbol) -> int:
         """The version of symbol's last log entry, or -1."""
@@ -206,15 +216,16 @@ def _live(view: CanonicalView, entries: list) -> list:
     return [e for e in entries if get(e[1]) == e[2]]
 
 
-def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
-    """The current view of prev's context, patched from prev and the change
-    log since it; takes over prev's sig, uses, row log and dead counts."""
-    ctx, find, canon = prev.context, eg.uf._find, eg.canonical_node
-    sig, uses, log, dead, own = prev._sig, prev._uses, prev._log, prev._dead, prev._own
-    n_bot, n_ctx, n_ids = prev._marks
+def _patch(eg: EGraph, view: CanonicalView) -> None:
+    """Bring view up to the change log, in place: its classes, clashes,
+    version and marks, and its sig, uses, row log and dead counts."""
+    ctx, find, canon = view.context, eg.uf._find, eg.canonical_node
+    classes, sig, uses, log, dead, own = (
+        view.classes, view._sig, view._uses, view._log, view._dead, view._own
+    )
+    n_bot, n_ctx, n_ids = view._marks
     # at bottom the two logs are one
     lost = eg.uf.lost[BOTTOM][n_bot:] + (eg.uf.lost[ctx][n_ctx:] if ctx != BOTTOM else [])
-    classes = prev.classes.copy()
     # dirty class -> rows to (re-)add to it; into: lost class -> its class
     # now; over: the classes with a row over a lost root; left: rows that
     # left a class, whose log entries are now dead
@@ -251,7 +262,8 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
                 parents[t] = None
     for i in range(n_ids, len(eg.uf)):
         dirty.setdefault(find(ctx, i), []).append(canon(ctx, eg.created[i]))
-    # uses lists only classes of prev, so a lost one's class is in into
+    # uses lists only classes live before the patch, so a lost one's class
+    # is in into
     get = into.get
     over = {get(p, p) for p in over}
     # a class keeps its rows over no lost root as they are
@@ -281,16 +293,15 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         for t, keep, _ in work:
             for row in dropped.intersection(keep):
                 sig.setdefault(row, t)
-    view = CanonicalView(
-        ctx, classes, eg.version, _sig=sig, _uses=uses, _log=log, _dead=dead,
-        _marks=marks(eg, ctx), _own=own,
-    )
-    # a clash is between classes of prev, so a lost one's class is in into
-    for a, b in prev.clashes:
+    view.version, view._marks = eg.version, marks(eg, ctx)
+    # a clash was between live classes, so a lost one's class is in into;
+    # the list is replaced, not changed, as a seed shares its cover's
+    before, view.clashes = view.clashes, []
+    for a, b in before:
         a, b = into.get(a, a), into.get(b, b)
         if a != b:
             view.clashes.append((a, b))
-    # a row's children are roots of prev, so a lost one's class is in into
+    # a row's children were roots, so a lost one's class is in into
     for t, keep, redo in work:
         if len(redo) == 1 and lost_roots.isdisjoint(redo[0].children):
             # one row over no lost root, such as a new id's (three in four
@@ -299,7 +310,7 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         else:
             fresh = {
                 n if lost_roots.isdisjoint(n.children)
-                else ENode(n.symbol, tuple(map(get, n.children, n.children)))
+                else _new(ENode, (n.symbol, tuple(map(get, n.children, n.children))))
                 for n in redo
             }
             new = sorted(fresh.difference(keep))
@@ -314,15 +325,14 @@ def _patch(eg: EGraph, prev: CanonicalView) -> CanonicalView:
         if 2 * dead[sym] > len(entries := log[sym]):
             entries[:] = _live(view, entries)
             dead[sym] = 0
-    return view
 
 
 class ViewCache:
-    """Materialized views keyed by context; a view is reused while its
-    `_marks` equal the change log's current positions for its context,
-    then patched (see the module docstring). Holds the e-graph weakly: the
-    e-graph owns its cache, and a cycle would leave both to the cyclic
-    garbage collector."""
+    """Materialized views keyed by context, one each; a view is returned
+    as it is while its `_marks` equal the change log's current positions
+    for its context, else patched in place first (see the module
+    docstring). Holds the e-graph weakly: the e-graph owns its cache, and a
+    cycle would leave both to the cyclic garbage collector."""
 
     def __init__(self, eg: EGraph):
         self._eg = weakref.ref(eg)
@@ -331,14 +341,16 @@ class ViewCache:
     def get(self, ctx: ContextId) -> CanonicalView:
         eg = self._eg()
         view = self._views.get(ctx)
-        if view is not None and view._marks == marks(eg, ctx):
+        if view is None:
+            view = self._views[ctx] = self._seed(eg, ctx)
+        elif view._marks == marks(eg, ctx):
             return view
-        view = self._views[ctx] = _patch(eg, view or self._seed(eg, ctx))
+        _patch(eg, view)
         return view
 
     def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
-        """What ctx's first view is patched from: at bottom an empty view,
-        else a copy of its one cover's current view (of bottom's if it has
+        """ctx's view before its first patch: at bottom an empty view, else
+        a copy of its one cover's current view (of bottom's if it has
         several) with ctx's whole layer log still to read; the links it
         copied from the cover pop no class of that view. The base view's
         dead row log entries are dropped first, in place, as a patch drops
@@ -358,7 +370,8 @@ class ViewCache:
         # first write
         base._own.clear()
         return CanonicalView(
-            ctx, base.classes, base.version, base.clashes, base._sig.copy(), base._uses.copy(),
+            ctx, base.classes.copy(), base.version, base.clashes,
+            base._sig.copy(), base._uses.copy(),
             {sym: entries.copy() for sym, entries in log.items()}, {},
             (base._marks[0], 0, base._marks[2]),
         )

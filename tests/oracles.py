@@ -177,8 +177,14 @@ def naive_contextual_congruence(lattice, nodes, n_ids, explicit):
 
 
 def resolved(view) -> dict:
-    """A view's classes read through its chain of bases: class -> rows."""
+    """A view's classes as a fresh dict: class -> rows."""
     return {c: view.nodes_of(c) for c in view.class_ids()}
+
+
+def snapshot(view) -> tuple[int, dict]:
+    """A cached view's version and a copy of its classes: the view itself is
+    patched in place, so what it held at a check is kept by copying."""
+    return view.version, resolved(view)
 
 
 def view_index_mismatch(view, prev, symbols) -> str | None:
@@ -186,26 +192,27 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     brute-force reading of its classes, or None if there is none.
 
     `_rows(sym, since)` must list, once each, the rows (node, class) that
-    the view holds and prev did not, where since is prev's version (prev is
-    an earlier view of the same context, or None, which reads as -1 and no
-    rows), and `_rows(sym, -1)` every row of sym the view holds, which a
-    first join reads. `_parents(sym, pos, child)` must list the rows whose
-    child at pos is child. Every row a class holds must have a `_sig`
-    entry, clashes or not: a rule whose root's arguments are all constants
-    returns no match when its one root row has none. When the view reports
-    no clashes, `_sig[row]` must be the class holding each row. Clashes or
-    not, every `_sig` entry must name a class that holds its row, so that an
-    entry naming a logged row's class tells that the row is still held.
-    Every class listed in `_uses` under a child must hold a row over it: a
-    class that lost its rows leaves its children's lists.
+    the view holds and did not hold at prev, where prev is a `snapshot` of
+    the same context's view at an earlier check (or None, which reads as
+    version -1 and no rows) and since is its version, and `_rows(sym, -1)`
+    every row of sym the view holds, which a first join reads.
+    `_parents(sym, pos, child)` must list the rows whose child at pos is
+    child. Every row a class holds must have a `_sig` entry, clashes or
+    not: a rule whose root's arguments are all constants returns no match
+    when its one root row has none. When the view reports no clashes,
+    `_sig[row]` must be the class holding each row. Clashes or not, every
+    `_sig` entry must name a class that holds its row, so that an entry
+    naming a logged row's class tells that the row is still held. Every
+    class listed in `_uses` under a child must hold a row over it: a class
+    that lost its rows leaves its children's lists.
     """
 
-    def rows(v):
-        return set() if v is None else {(n, c) for c, ns in resolved(v).items() for n in ns}
+    def rows(classes):
+        return {(n, c) for c, ns in classes.items() for n in ns}
 
-    held = rows(view)
-    new = held - rows(prev)
-    since = -1 if prev is None else prev.version
+    since, before = (-1, {}) if prev is None else prev
+    held = rows(resolved(view))
+    new = held - rows(before)
     parents = defaultdict(set)
     for n, c in held:
         for pos, child in enumerate(n.children):

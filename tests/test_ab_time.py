@@ -1,5 +1,5 @@
 """scripts/ab_time.py weights each distinct op as a benchmark round runs it,
-and sums the weighted times of each op family."""
+sums the weighted times of each op family, and counts the rounds B won."""
 
 import random
 import sys
@@ -45,3 +45,11 @@ def test_family_lines_give_each_familys_median_sums_and_speed_up():
         "  lambda-d2: A 2000.0 ms, B 2000.0 ms, speed-up x1.000",
         "  tower-d4: A 2000.0 ms, B 500.0 ms, speed-up x2.000",
     ]
+
+
+def test_summary_line_counts_the_rounds_b_won():
+    ratios = [1.2, 0.9, 1.0, 1.1, 1.05]
+    assert ab_time.summary_line("scopes", 100, ratios) == (
+        "scopes: 100 ops, 5 rounds, speed-up x1.050 (IQR 0.950-1.150), B won 3 of 5 rounds"
+    )
+    assert ab_time.summary_line("ac", 8, [0.98]).endswith("x0.980 (IQR 0.980-0.980), B won 0 of 1 rounds")

@@ -1229,3 +1229,64 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
     assert taken["idle"] == {"corpus", "lambda", "tower", "ac", "random"}
     # the towers' and the ac programs' rules have a variable under the root
     assert taken["absent"] == {"corpus", "lambda", "random"}
+
+
+def test_a_ground_rules_root_row_decides_its_visit_as_the_join_would(monkeypatch):
+    """A rule whose root's arguments are all constants is answered from its
+    one root row's `_sig` entry when the view reports no clash (`_ground`),
+    a delta visit only if that row was logged since. Compiled without that
+    knowledge, every such rule joins instead, and every digest of
+    `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
+    of depth 2 to 4 and 200 random rewrite programs. Both outcomes of the
+    delta test are taken."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+    import fingerprint
+    import workloads
+
+    sources = [corpus_source(name) for name in CORPUS_NAMES]
+    sources += [
+        workloads.lambda_op(list(args)).source
+        for d in (2, 3, 4) for args in itertools.product((1, 2), repeat=d)
+    ]
+    sources += [random_rewrite_program(seed)[0] for seed in range(200)]
+    delta = {"found": 0, "none": 0}
+    real = rewrite._ground
+
+    def counted(db, symbol, fixed, ground, since):
+        got = real(db, symbol, fixed, ground, since)
+        if since is not None:
+            delta["found" if got else "none"] += 1
+        return got
+
+    monkeypatch.setattr(rewrite, "_ground", counted)
+    fast = [fingerprint.digests(source) for source in sources]
+    assert delta["found"] and delta["none"]
+    taken = dict(delta)
+    compile_ = rewrite._compile
+    monkeypatch.setattr(rewrite, "_compile", lambda p: compile_(p)._replace(ground=None))
+    assert [fingerprint.digests(source) for source in sources] == fast
+    assert delta == taken
+
+
+def test_a_lambda_instance_rereads_its_nodes_once_their_class_tuple_changes():
+    """A lambda instance keeps its lambda nodes and binder names with the
+    bottom class tuples it read them from: while a tuple stays, the same
+    objects come back; after a bottom merge replaces it, the reading is
+    redone and matches a fresh scan."""
+    eng, root = lambda_engine(term("plus", term("var", term("x")), term("1")))
+    eg = eng.eg
+    eng.run(4)
+    inst, = eng._lambda_instances
+    lams = scopes._lambdas(eg, inst)
+    binder = lams[0].children[0]
+    names = scopes._binder_names(eg, inst, binder)
+    assert names == {"x"}
+    assert scopes._lambdas(eg, inst) is lams
+    assert scopes._binder_names(eg, inst, binder) is names
+    other = eg.intern(term("lam", term("3"), term("2")))
+    eg.merge(BOTTOM, inst.fn_class, other)
+    eg.merge(BOTTOM, binder, eg.intern(term("3")))
+    eg.rebuild()
+    assert scopes._lambdas(eg, inst) == scopes._lambda_nodes(eg, inst.fn_class, inst.construct)
+    assert len(scopes._lambdas(eg, inst)) == 2
+    assert scopes._binder_names(eg, inst, binder) == {"x", "3"}

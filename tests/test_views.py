@@ -28,6 +28,7 @@ from oracles import (
     naive_contextual_congruence,
     reference_plan_join,
     resolved,
+    snapshot,
     view_index_mismatch,
 )
 from test_egraph import random_egraph
@@ -77,9 +78,47 @@ def test_view_cache_invalidation():
     eg.declare_function("c", 0)
     eg.intern(term("c"))
     eg.rebuild()
+    # a view is patched in place: the one held is the current one
     v2 = cache.get(then)
-    assert v2 is not v1
+    assert v2 is v1
     assert v2.version == eg.version
+    assert eg.find(then, eg.intern(term("c"))) in v2.classes
+    assert v2.classes == build_view(eg, then).classes
+
+
+def test_a_held_view_logs_exactly_the_rows_each_patch_adds():
+    """One view held across merges and new ids, at bottom and above: after
+    each get, `_rows(symbol, previous version)` lists exactly the rows
+    (node, class) the view holds and did not hold at the previous get."""
+    patched = 0
+    for seed in range(30):
+        eg, _, _ = random_egraph(seed + 21000, 16, 4)
+        eg.rebuild()
+        rng = random.Random(seed)
+        ctx = rng.choice(list(eg.lattice.ids()))
+        view = eg.views.get(ctx)
+        for step in range(12):
+            version, at = view.version, view._marks
+            rows = {(n, c) for c, ns in view.classes.items() for n in ns}
+            n = len(eg.uf)
+            if rng.random() < 0.5:
+                eg.merge(rng.choice([BOTTOM, ctx]), rng.randrange(n), rng.randrange(n))
+            else:
+                sym = rng.choice(eg.symbols())
+                eg.add_node(sym, tuple(rng.randrange(n) for _ in range(sym.arity)))
+            if rng.random() < 0.5:
+                eg.rebuild()
+            assert eg.views.get(ctx) is view, f"seed={seed} step={step}"
+            assert view.classes == build_view(eg, ctx).classes, f"seed={seed} step={step}"
+            # a patch moves the marks, and the version to the e-graph's then
+            patched += view._marks != at
+            assert (version < view.version <= eg.version) == (view._marks != at)
+            added = {(n, c) for c, ns in view.classes.items() for n in ns} - rows
+            for sym in eg.symbols():
+                got = view._rows(sym, version)
+                want = {r for r in added if r[0].symbol == sym}
+                assert len(got) == len(set(got)) and set(got) == want, f"seed={seed} step={step}"
+    assert patched >= 100
 
 
 def test_factoring_well_defined_on_random_graphs():
@@ -238,7 +277,7 @@ def test_patched_views_track_interleaved_reads_and_rebuilds():
         def check_index(view):
             got = view_index_mismatch(view, last.get(view.context), eg.symbols())
             assert got is None, f"seed={seed} step={step}: {got}"
-            last[view.context] = view
+            last[view.context] = snapshot(view)
 
         for step in range(14):
             kind = rng.choice(kinds)
