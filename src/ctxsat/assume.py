@@ -3,13 +3,16 @@
 Instead of layering equivalence relations, this encoder wraps each branch of
 a conditional in an assumption node carrying the condition, in an ordinary
 single-relation e-graph. Generated pushdown rules move assumption wrappers
-into the expression tree; resolution rules discharge a wrapper whose payload
-matches (or contradicts) its constraint, and a conditional whose branches
-both reach the true constant collapses to true.
+into the expression tree, and unary operators back out; resolution rules
+rewrite, inside a wrapper, a payload equal to the wrapper's own condition
+to the true (or false) constant, and under an equality condition one
+operand to the other.
 
 The encoder exists for size comparison only: it runs the same program logic
 under both encodings and reports canonical node counts at saturation. The
 wrapped copies it creates are the cost the layered representation avoids.
+Both encodings run through `dsl.execute`: the assumption encoding is a
+program of its own, the wrapper algebra given as rules over terms.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .dsl import (
     FunctionCmd,
     Program,
     RuleCmd,
+    RunCmd,
     ScopeIfCmd,
     ScopeLambdaCmd,
     TermCmd,
@@ -30,7 +34,7 @@ from .dsl import (
 from .egraph import Term
 from .errors import UnsupportedCorpus
 from .lattice import BOTTOM
-from .rewrite import Engine, Everywhere, PatternApp, PatternVar, Rule
+from .rewrite import Everywhere
 
 ASSUME_TRUE = "assume-true"
 ASSUME_FALSE = "assume-false"
@@ -93,7 +97,7 @@ def _wrap(t: Term, sc: ScopeIfCmd | None) -> Term:
     return built[0]
 
 
-def _machinery_rules(eng: Engine, fn_cmds: list[FunctionCmd], sc: ScopeIfCmd | None):
+def _machinery_rules(fn_cmds: list[FunctionCmd], sc: ScopeIfCmd | None) -> list[RuleCmd]:
     """Wrapper algebra for the assumption encoding.
 
     A wrapped term never becomes equal to its unwrapped payload: wrappers
@@ -102,73 +106,42 @@ def _machinery_rules(eng: Engine, fn_cmds: list[FunctionCmd], sc: ScopeIfCmd | N
     payload would let congruence export assumption-local facts globally,
     which is unsound.
     """
-    eg = eng.eg
-    at = eg.symbol(ASSUME_TRUE, 2)
-    af = eg.symbol(ASSUME_FALSE, 2)
-    c = PatternVar("c")
-    x = PatternVar("x")
-    rules = []
+    c, x = Term("?c", ()), Term("?x", ())
+    wraps = ((ASSUME_TRUE, "at"), (ASSUME_FALSE, "af"))
+    rules = []  # (name, lhs, rhs)
     for cmd in fn_cmds:
         if cmd.arity == 0:
             continue
-        sym = eg.symbol(cmd.name, cmd.arity)
-        args = tuple(PatternVar(f"x{i}") for i in range(cmd.arity))
-        for wrap, tag in ((at, "at"), (af, "af")):
-            rules.append(
-                Rule(
-                    f"{tag}-push-{cmd.name}",
-                    PatternApp(wrap, (c, PatternApp(sym, args))),
-                    PatternApp(sym, tuple(PatternApp(wrap, (c, a)) for a in args)),
-                )
-            )
+        args = tuple(Term(f"?x{i}", ()) for i in range(cmd.arity))
+        for wrap, tag in wraps:
+            rules.append((
+                f"{tag}-push-{cmd.name}",
+                Term(wrap, (c, Term(cmd.name, args))),
+                Term(cmd.name, tuple(Term(wrap, (c, a)) for a in args)),
+            ))
             if cmd.arity == 1:
                 # unary operators commute back into the wrapper; multi-child
                 # pull-up would silently strengthen sibling contexts
-                rules.append(
-                    Rule(
-                        f"{tag}-pull-{cmd.name}",
-                        PatternApp(sym, (PatternApp(wrap, (c, x)),)),
-                        PatternApp(wrap, (c, PatternApp(sym, (x,)))),
-                    )
-                )
-    for wrap, tag in ((at, "at"), (af, "af")):
-        rules.append(
-            Rule(
-                f"{tag}-idem",
-                PatternApp(wrap, (c, PatternApp(wrap, (c, x)))),
-                PatternApp(wrap, (c, x)),
-            )
-        )
+                rules.append((
+                    f"{tag}-pull-{cmd.name}",
+                    Term(cmd.name, (Term(wrap, (c, x)),)),
+                    Term(wrap, (c, Term(cmd.name, (x,)))),
+                ))
+    for wrap, tag in wraps:
+        rules.append((f"{tag}-idem", Term(wrap, (c, Term(wrap, (c, x)))), Term(wrap, (c, x))))
     if sc is not None:
-        true_pat = PatternApp(eg.symbol(sc.true_name, 0), ())
-        false_pat = PatternApp(eg.symbol(sc.false_name, 0), ())
         # resolution stays inside the wrapper; this encoding has no sound
         # way to promote facts shared by both branches back to the top
-        rules.append(
-            Rule("at-resolve", PatternApp(at, (c, c)), PatternApp(at, (c, true_pat)))
-        )
-        rules.append(
-            Rule("af-resolve", PatternApp(af, (c, c)), PatternApp(af, (c, false_pat)))
-        )
+        for (wrap, tag), const in zip(wraps, (sc.true_name, sc.false_name)):
+            rules.append((f"{tag}-resolve", Term(wrap, (c, c)), Term(wrap, (c, Term(const, ())))))
         if sc.eq_name:
-            eq_sym = eg.symbol(sc.eq_name, 2)
-            u, v = PatternVar("u"), PatternVar("v")
-            eq_uv = PatternApp(eq_sym, (u, v))
-            rules.append(
-                Rule(
-                    "at-eq-left",
-                    PatternApp(at, (eq_uv, u)),
-                    PatternApp(at, (eq_uv, v)),
-                )
-            )
-            rules.append(
-                Rule(
-                    "at-eq-right",
-                    PatternApp(at, (eq_uv, v)),
-                    PatternApp(at, (eq_uv, u)),
-                )
-            )
-    return rules
+            u, v = Term("?u", ()), Term("?v", ())
+            eq_uv = Term(sc.eq_name, (u, v))
+            for side, a, b in (("left", u, v), ("right", v, u)):
+                rules.append((
+                    f"at-eq-{side}", Term(ASSUME_TRUE, (eq_uv, a)), Term(ASSUME_TRUE, (eq_uv, b))
+                ))
+    return [RuleCmd(*r, Everywhere()) for r in rules]
 
 
 def assume_encode(program: Program, max_iterations: int = 60) -> AssumeComparison:
@@ -176,6 +149,10 @@ def assume_encode(program: Program, max_iterations: int = 60) -> AssumeCompariso
 
     Returns canonical e-node counts at saturation for the assumption-based
     e-graph and the layered one, plus the layered run's iteration count.
+    The assumption encoding is a program of its own, run by `execute` as
+    the layered one is: the program's functions, the two wrapper symbols,
+    the wrapper algebra, then the program's rules, terms (wrapped) and
+    costs in their order, and one run of max_iterations.
     """
     sc = _validate(program)
 
@@ -183,33 +160,22 @@ def assume_encode(program: Program, max_iterations: int = 60) -> AssumeCompariso
     layered_nodes = layered.engine.eg.stats(BOTTOM)[1]
     iterations = sum(r.iterations for r in layered.reports)
 
-    eng = Engine()
-    eg = eng.eg
     fn_cmds = [c for c in program.commands if isinstance(c, FunctionCmd)]
-    for cmd in fn_cmds:
-        eg.declare_function(cmd.name, cmd.arity)
-    eg.declare_function(ASSUME_TRUE, 2)
-    eg.declare_function(ASSUME_FALSE, 2)
-    for rule in _machinery_rules(eng, fn_cmds, sc):
-        eng.add_rule(rule)
-    from .dsl import _term_to_pattern  # shared pattern resolution
-
+    machinery = _machinery_rules(fn_cmds, sc)
+    reserved = {r.name for r in machinery}
     for cmd in program.commands:
-        if isinstance(cmd, RuleCmd):
-            eng.add_rule(
-                Rule(
-                    cmd.name,
-                    _term_to_pattern(eng, cmd.lhs),
-                    _term_to_pattern(eng, cmd.rhs),
-                    cmd.scope,
-                )
-            )
-        elif isinstance(cmd, TermCmd):
-            eng.add_root(_wrap(cmd.term, sc))
-        elif isinstance(cmd, CostCmd):
-            eng.cost_model.set(cmd.name, cmd.value)
-    eng.run(max_iterations)
-    assume_nodes = eg.stats(BOTTOM)[1]
+        if isinstance(cmd, RuleCmd) and cmd.name in reserved:
+            raise UnsupportedCorpus(f"rule name {cmd.name!r} is reserved")
+    encoded = Program((
+        *fn_cmds,
+        FunctionCmd(ASSUME_TRUE, 2),
+        FunctionCmd(ASSUME_FALSE, 2),
+        *machinery,
+        *(TermCmd(_wrap(c.term, sc)) if isinstance(c, TermCmd) else c
+          for c in program.commands if isinstance(c, (RuleCmd, TermCmd, CostCmd))),
+        RunCmd(max_iterations),
+    ))
+    assume_nodes = execute(encoded).engine.eg.stats(BOTTOM)[1]
     return AssumeComparison(assume_nodes, layered_nodes, iterations)
 
 
@@ -237,13 +203,11 @@ def nested_conditional_program(depth: int, run_cap: int | None = None) -> str:
     lines.append("(scope-if if true false)")
     lines.append("(rule true-is-not-false true (not false) :scope everywhere)")
 
-    def tower(i: int) -> str:
-        g = f"(gt a{i} b{i})"
-        if i == 1:
-            return f"(if {g} {g} (not {g}))"
-        return f"(if {g} {tower(i - 1)} (not {g}))"
-
-    lines.append(f"(term {tower(depth)})")
+    # without recursion: the levels' openers outermost first, level 1's
+    # then branch (its own condition), the else branches innermost first
+    gs = [f"(gt a{i} b{i})" for i in range(1, depth + 1)]
+    tower = "".join([*(f"(if {g} " for g in reversed(gs)), gs[0], *(f" (not {g}))" for g in gs)])
+    lines.append(f"(term {tower})")
     lines.append(f"(run {run_cap or 2 * depth + 4})")
-    lines.append(f"(check-equal bot {tower(depth)} true)")
+    lines.append(f"(check-equal bot {tower} true)")
     return "\n".join(lines) + "\n"

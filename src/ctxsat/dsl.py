@@ -51,11 +51,10 @@ from .rewrite import (
     AtOrAbove,
     Engine,
     Everywhere,
-    PatternApp,
-    PatternVar,
     Rule,
     RuleScope,
     SaturationReport,
+    _term_to_pattern,
 )
 
 # s-expressions: an atom is its text, a list form the tuple of its items
@@ -509,26 +508,10 @@ class RunOutput:
                     if eng.eg.uf.unions_at[c]
                 },
                 "classes_per_context": {
-                    lat.name(c): eng.eg.stats(c)[0] for c in lat.ids()
+                    lat.name(c): len(eng.eg.class_ids(c)) for c in lat.ids()
                 },
             },
         }
-
-
-def _term_to_pattern(engine: Engine, t: Term):
-    # symbols are looked up in pre-order, so the first unknown one raises
-    out, todo = [], [(t, None)]
-    while todo:
-        t, sym = todo.pop()
-        if sym is not None:
-            k = len(out) - sym.arity
-            out[k:] = [PatternApp(sym, tuple(out[k:]))]
-        elif t.symbol.startswith("?"):
-            out.append(PatternVar(t.symbol[1:]))
-        else:
-            todo.append((t, engine.eg.symbol(t.symbol, len(t.children))))
-            todo += [(c, None) for c in reversed(t.children)]
-    return out[0]
 
 
 def execute(

@@ -26,27 +26,30 @@ merged; skipping it leaves the relation as the next rebuild would.
 merged at bottom meanwhile, so a run that re-matched everything may number
 fresh ids, and count unions per context, differently.)
 
-Two tests let a rule visit that cannot match cost a few dictionary probes
-(`_idle`, `_absent`). A delta call returns before binding anything when
-none of its query's distinct symbols logged a row since. A rule whose
-root's arguments are all constants has one root row once the constants are
-bound, and every row a view's class holds has a `_sig` entry, so when that
-row has none the call returns before any join, first or delta. With no
-clash reported the entry is the one class holding the row, so that entry
-decides such a visit with no join at all (`_ground`): its one match is the
+Two tests let a rule visit that cannot match cost a few dictionary probes.
+A delta call returns before binding anything when none of its query's
+distinct symbols logged a row since (`_idle`). A rule whose root's
+arguments are all constants has one root row once the constants are bound
+(`_root_row`), probed once: every row a view's class holds has a `_sig`
+entry, so when that row has none the call returns before any join, first
+or delta. With no clash reported the entry is the one class holding the
+row, so it decides the visit with no join at all: its one match is the
 row's class, in a delta call only if the row was logged in it since. With
 clashes, and under Strategy.ON_THE_FLY, the rule joins as any other.
 
-Each rule compiles once, in `add_rule`, and only this module reads the
-pattern classes' fields: `_compile` turns its left-hand side into a query
-(`_Query`) with a join plan from each atom (`views.plan_join`), and
-`_compile_rhs` its right-hand side into post-order steps over a match's
-slot tuple (root, values in variable-name order), in which a variable is
-its position and each step takes the next one. The loop gets slot tuples
-from `ematch` and applies them in their sorted order, which numbers fresh
-ids, through `EGraph._instantiate` (see the egraph module). A visit that
-finds no match applies and counts nothing, and matching changes no version,
-so the loop reads the version again only after an application.
+Patterns are built here too: `_term_to_pattern` turns a program's term,
+in which a symbol starting with `?` is a variable, into a pattern over the
+e-graph's declared symbols. Each rule compiles once, in `add_rule`, and
+only this module reads the pattern classes' fields: `_compile` turns its
+left-hand side into a query (`_Query`) with a join plan from each atom
+(`views.plan_join`), and `_compile_rhs` its right-hand side into post-order
+steps over a match's slot tuple (root, values in variable-name order), in
+which a variable is its position and each step takes the next one. The
+loop gets slot tuples from `ematch` and applies them in their sorted
+order, which numbers fresh ids, through `EGraph._instantiate` (see the
+egraph module). A visit that finds no match applies and counts nothing,
+and matching changes no version, so the loop reads the version again only
+after an application.
 
 `Engine` binds the functions of the scopes module, which make contexts
 during the run, as its methods; `run` calls every phase through the engine.
@@ -96,6 +99,22 @@ def pattern_vars(p: Pattern) -> set[str]:
         else:
             todo += p.args
     return out
+
+
+def _term_to_pattern(engine: Engine, t: Term) -> Pattern:
+    # symbols are looked up in pre-order, so the first unknown one raises
+    out, todo = [], [(t, None)]
+    while todo:
+        t, sym = todo.pop()
+        if sym is not None:
+            k = len(out) - sym.arity
+            out[k:] = [PatternApp(sym, tuple(out[k:]))]
+        elif t.symbol.startswith("?"):
+            out.append(PatternVar(t.symbol[1:]))
+        else:
+            todo.append((t, engine.eg.symbol(t.symbol, len(t.children))))
+            todo += [(c, None) for c in reversed(t.children)]
+    return out[0]
 
 
 class _Query(NamedTuple):
@@ -288,16 +307,18 @@ class Engine:
                     return []
                 fixed.append(eg.uf._find(ctx, cls))
             f = atoms[0][0]
-            if ground is not None and _absent(db, f, fixed, ground):
-                return []
+            if ground is not None:
+                row, c = _root_row(db, f, fixed, ground)
+                if c is None:
+                    return []
             # a constant's new row is in every match
             if since is not None:
                 for j in consts:
-                    if db._newest(atoms[j][0]) > since and db._rows(atoms[j][0], since):
+                    if db._rows(atoms[j][0], since):
                         since = None
                         break
             if ground is not None and not db.clashes:
-                found = _ground(db, f, fixed, ground, since)
+                found = [(c,)] if since is None or db._logged(row, c, since) else []
             else:
                 if since is not None:
                     starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
@@ -380,18 +401,9 @@ def _idle(db, symbols: tuple, since: int) -> bool:
     return True
 
 
-def _absent(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> bool:
-    """Whether no class of the view holds the root row over the constants'
-    classes; every row a class holds has a `_sig` entry."""
-    return (symbol, tuple([fixed[k] for k in ground])) not in db._sig
-
-
-def _ground(db, symbol: FunctionSymbol, fixed: list, ground: tuple, since: int | None) -> list:
-    """The match of a query whose root's arguments are all constants, in a
-    view reporting no clash: its one root row's class, the `_sig` entry,
-    if the view holds the row, and with since, if it was logged after."""
+def _root_row(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> tuple:
+    """The one root row of a query whose root's arguments are all constants,
+    over the constants' classes, and the class of the view holding it, its
+    `_sig` entry, or None: every row a class holds has a `_sig` entry."""
     row = (symbol, tuple([fixed[k] for k in ground]))
-    c = db._sig.get(row)
-    if c is None or since is not None and not db._logged(row, c, since):
-        return []
-    return [(c,)]
+    return row, db._sig.get(row)

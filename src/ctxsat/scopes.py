@@ -28,13 +28,16 @@ the walk starts): nothing below such a class instantiates or merges, and a
 class that reaches a construct is reached only through classes that do too,
 so the walk meets instances and merges in the same order.
 
-The public functions take the engine (`rewrite.Engine`), which binds them.
+An instance's lambda nodes, and the nullary names of each binder class,
+are read from the bottom view whenever the walk or a lift needs them
+(`_lambda_nodes`). The public functions take the engine (`rewrite.Engine`),
+which binds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .egraph import ClassId, ENode, FunctionSymbol
 from .errors import NoFiniteTerm
@@ -67,22 +70,12 @@ class _CondInstance:
 
 @dataclass
 class _LambdaInstance:
-    """A lambda application's body context, and what the lifts read of the
-    bottom view: the class tuple of fn_class its lambda nodes were read
-    from, and each binder class's tuple with the nullary names read from it.
-    A patch replaces a class's tuple exactly when its rows change, and a
-    tuple held here keeps its id, so a reading is redone only once the
-    class's tuple is another object (`_lambdas`, `_binder_names`)."""
-
     gamma: ContextId
     app_class: ClassId
     fn_class: ClassId
     value_class: ClassId
     body_ctx: ContextId
     construct: LambdaScope
-    _fn_rows: tuple | None = None
-    _lams: list = field(default_factory=list)
-    _binders: dict = field(default_factory=dict)
 
 
 # registration
@@ -209,7 +202,7 @@ def apply_scopes(eng) -> int:
                     lam_keys[key] = inst
                     eng._lambda_instances.append(inst)
                     new_instances += 1
-                for lam_node in _lambdas(eg, inst):
+                for lam_node in _lambda_nodes(eg, inst.fn_class, inst.construct):
                     var_cls = eg._add(sc.var_sym, (lam_node.children[0],))
                     eg.merge(inst.body_ctx, var_cls, inst.value_class)
                 for lam_node in lams:
@@ -243,26 +236,6 @@ def _reach(view, symbols: list) -> set:
 def _lambda_nodes(eg, fn_cls: ClassId, sc: LambdaScope) -> list[ENode]:
     nodes = eg.classes()[eg.uf._find(BOTTOM, fn_cls)]
     return [n for n in nodes if n.symbol == sc.lam_sym]
-
-
-def _lambdas(eg, inst: _LambdaInstance) -> list[ENode]:
-    """The lambda nodes of inst's function class at bottom, re-read only
-    when that class's tuple was replaced."""
-    rows = eg.classes()[eg.uf._find(BOTTOM, inst.fn_class)]
-    if rows is not inst._fn_rows:
-        inst._fn_rows = rows
-        inst._lams = [n for n in rows if n.symbol == inst.construct.lam_sym]
-    return inst._lams
-
-
-def _binder_names(eg, inst: _LambdaInstance, binder_cls: ClassId) -> set[str]:
-    """The nullary symbol names of binder_cls's class at bottom, re-read
-    only when that class's tuple was replaced."""
-    rows = eg.classes()[eg.uf._find(BOTTOM, binder_cls)]
-    got = inst._binders.get(binder_cls)
-    if got is None or got[0] is not rows:
-        got = inst._binders[binder_cls] = rows, {n.symbol.name for n in rows if n.symbol.arity == 0}
-    return got[1]
 
 
 def _reflect_equalities(eng) -> None:
@@ -324,9 +297,10 @@ def apply_lambda_lifts(eng) -> int:
     eg, find = eng.eg, eng.eg.uf._find
     leaves = eng._lambda_instances and cheap_leaves(eg, eng.cost_model)
     for inst in eng._lambda_instances:
-        for lam_node in _lambdas(eg, inst):
+        for lam_node in _lambda_nodes(eg, inst.fn_class, inst.construct):
             binder_cls, body_cls = lam_node.children
-            forbid = _binder_names(eg, inst, binder_cls)
+            binder = eg.classes()[find(BOTTOM, binder_cls)]
+            forbid = {n.symbol.name for n in binder if n.symbol.arity == 0}
             if not forbid:
                 continue
             ctx = inst.body_ctx

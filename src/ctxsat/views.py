@@ -144,11 +144,6 @@ class CanonicalView:
                 return True
         return False
 
-    def _newest(self, symbol: FunctionSymbol) -> int:
-        """The version of symbol's last log entry, or -1."""
-        entries = self._log.get(symbol)
-        return entries[-1][0] if entries else -1
-
     def _parents(self, symbol: FunctionSymbol, pos: int, child: ClassId) -> list:
         """Rows (node, class) of symbol whose child at pos is child."""
         return [

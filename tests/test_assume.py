@@ -9,11 +9,27 @@ from ctxsat.dsl import parse_program, run_source
 from ctxsat.errors import UnsupportedCorpus
 
 
+# (assume_nodes, layered_nodes, iterations) of each conditional program
+COUNTS = {
+    "intro": (12, 9, 2),
+    "conditional": (25, 9, 2),
+    "nested-1": (23, 8, 2),
+    "nested-2": (54, 13, 2),
+    "nested-3": (97, 18, 2),
+    "nested-4": (152, 23, 2),
+    "nested-5": (219, 28, 2),
+    "nested-6": (298, 33, 2),
+}
+
+
 def test_layered_never_larger_on_conditional_corpora():
-    for name in ("intro", "conditional"):
-        cmp = assume_encode(parse_program(corpus_source(name)))
+    sources = {name: corpus_source(name) for name in ("intro", "conditional")}
+    sources |= {f"nested-{k}": nested_conditional_program(k) for k in range(1, 7)}
+    for name, source in sources.items():
+        cmp = assume_encode(parse_program(source))
         assert cmp.layered_nodes <= cmp.assume_nodes
         assert cmp.iterations >= 1
+        assert (cmp.assume_nodes, cmp.layered_nodes, cmp.iterations) == COUNTS[name], name
 
 
 def test_counts_equal_without_conditionals():
@@ -54,6 +70,9 @@ def test_context_scoped_rules_unsupported():
 def test_reserved_symbol_names_rejected():
     with pytest.raises(UnsupportedCorpus):
         assume_encode(parse_program("(function assume-true 2)"))
+    # a rule named as one of the wrapper algebra's
+    with pytest.raises(UnsupportedCorpus, match="rule name 'at-idem' is reserved"):
+        assume_encode(parse_program("(function a 0) (rule at-idem a a :scope everywhere)"))
 
 
 def test_generator_matches_shipped_corpora():
@@ -61,6 +80,13 @@ def test_generator_matches_shipped_corpora():
         assert nested_conditional_program(k) == corpus_source(
             f"nested-conditional-{k}"
         )
+    # a deep tower is built without recursion, each level's then branch
+    # holding the tower one level lower
+    def tower(depth):
+        return nested_conditional_program(depth).splitlines()[-3][len("(term "):-1]
+
+    g = "(gt a3000 b3000)"
+    assert tower(3000) == f"(if {g} {tower(2999)} (not {g}))"
 
 
 def test_generated_programs_resolve_at_bottom():

@@ -22,13 +22,11 @@ from ctxsat import (
 )
 from ctxsat.assume import nested_conditional_program
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
-from ctxsat.dsl import (
-    Program, RunCmd, _forms, _term, _term_to_pattern, execute, parse_program, run_source,
-)
+from ctxsat.dsl import Program, RunCmd, _forms, _term, execute, parse_program, run_source
 from ctxsat.errors import DuplicateRule, NoFiniteTerm, UnboundRhsVariable
 from ctxsat import rewrite, scopes
-from ctxsat.rewrite import pattern_vars
-from ctxsat.views import marks
+from ctxsat.rewrite import _term_to_pattern, pattern_vars
+from ctxsat.views import CanonicalView, marks
 
 from test_egraph import random_egraph
 
@@ -1180,7 +1178,8 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
     """A rule visit that returns early, as idle (no row of the query's
     symbols logged since its last visit) or as absent (its root's arguments
     are constants and the view holds no such row), leaves each run as the
-    full join would: with both forced to say no, every digest of
+    full join would: with the idle test forced to say no, and every rule
+    compiled as if its root had a variable argument, every digest of
     `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
     of depth 2 to 4, the towers of depth 4 to 6, `ac_op(3, j)` and 200
     random rewrite programs. The idle test is taken on each family."""
@@ -1203,15 +1202,19 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
         sources[f"random-{seed}"] = "random", random_rewrite_program(seed)[0]
     taken = {"idle": set(), "absent": set()}
     family = [None]
+    idle, root_row = rewrite._idle, rewrite._root_row
 
-    def counted(kind, real):
-        def fast(*args):
-            got = real(*args)
-            if got:
-                taken[kind].add(family[0])
-            return got
+    def counted_idle(*args):
+        got = idle(*args)
+        if got:
+            taken["idle"].add(family[0])
+        return got
 
-        return fast
+    def counted_root_row(*args):
+        got = root_row(*args)
+        if got[1] is None:
+            taken["absent"].add(family[0])
+        return got
 
     def digests():
         out = {}
@@ -1220,11 +1223,12 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
             out[label] = fingerprint.digests(source)
         return out
 
-    monkeypatch.setattr(rewrite, "_idle", counted("idle", rewrite._idle))
-    monkeypatch.setattr(rewrite, "_absent", counted("absent", rewrite._absent))
+    monkeypatch.setattr(rewrite, "_idle", counted_idle)
+    monkeypatch.setattr(rewrite, "_root_row", counted_root_row)
     fast = digests()
     monkeypatch.setattr(rewrite, "_idle", lambda *args: False)
-    monkeypatch.setattr(rewrite, "_absent", lambda *args: False)
+    compile_ = rewrite._compile
+    monkeypatch.setattr(rewrite, "_compile", lambda p: compile_(p)._replace(ground=None))
     assert digests() == fast
     assert taken["idle"] == {"corpus", "lambda", "tower", "ac", "random"}
     # the towers' and the ac programs' rules have a variable under the root
@@ -1233,8 +1237,8 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
 
 def test_a_ground_rules_root_row_decides_its_visit_as_the_join_would(monkeypatch):
     """A rule whose root's arguments are all constants is answered from its
-    one root row's `_sig` entry when the view reports no clash (`_ground`),
-    a delta visit only if that row was logged since. Compiled without that
+    one root row's `_sig` entry when the view reports no clash (`_root_row`),
+    a delta visit only if that row was logged since (`CanonicalView._logged`). Compiled without that
     knowledge, every such rule joins instead, and every digest of
     `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
     of depth 2 to 4 and 200 random rewrite programs. Both outcomes of the
@@ -1250,15 +1254,14 @@ def test_a_ground_rules_root_row_decides_its_visit_as_the_join_would(monkeypatch
     ]
     sources += [random_rewrite_program(seed)[0] for seed in range(200)]
     delta = {"found": 0, "none": 0}
-    real = rewrite._ground
+    real = CanonicalView._logged
 
-    def counted(db, symbol, fixed, ground, since):
-        got = real(db, symbol, fixed, ground, since)
-        if since is not None:
-            delta["found" if got else "none"] += 1
+    def counted(db, row, c, since):
+        got = real(db, row, c, since)
+        delta["found" if got else "none"] += 1
         return got
 
-    monkeypatch.setattr(rewrite, "_ground", counted)
+    monkeypatch.setattr(CanonicalView, "_logged", counted)
     fast = [fingerprint.digests(source) for source in sources]
     assert delta["found"] and delta["none"]
     taken = dict(delta)
@@ -1268,25 +1271,20 @@ def test_a_ground_rules_root_row_decides_its_visit_as_the_join_would(monkeypatch
     assert delta == taken
 
 
-def test_a_lambda_instance_rereads_its_nodes_once_their_class_tuple_changes():
-    """A lambda instance keeps its lambda nodes and binder names with the
-    bottom class tuples it read them from: while a tuple stays, the same
-    objects come back; after a bottom merge replaces it, the reading is
-    redone and matches a fresh scan."""
+def test_a_lambda_instances_nodes_are_read_from_the_bottom_view_after_a_merge():
+    """A lambda instance's lambda nodes and its binder class's nullary names
+    are read from the bottom view as it stands: after bottom merges of the
+    function class and of the binder class, both readings hold the merged
+    classes' rows."""
     eng, root = lambda_engine(term("plus", term("var", term("x")), term("1")))
     eg = eng.eg
     eng.run(4)
     inst, = eng._lambda_instances
-    lams = scopes._lambdas(eg, inst)
-    binder = lams[0].children[0]
-    names = scopes._binder_names(eg, inst, binder)
-    assert names == {"x"}
-    assert scopes._lambdas(eg, inst) is lams
-    assert scopes._binder_names(eg, inst, binder) is names
+    binder = scopes._lambda_nodes(eg, inst.fn_class, inst.construct)[0].children[0]
     other = eg.intern(term("lam", term("3"), term("2")))
     eg.merge(BOTTOM, inst.fn_class, other)
     eg.merge(BOTTOM, binder, eg.intern(term("3")))
     eg.rebuild()
-    assert scopes._lambdas(eg, inst) == scopes._lambda_nodes(eg, inst.fn_class, inst.construct)
-    assert len(scopes._lambdas(eg, inst)) == 2
-    assert scopes._binder_names(eg, inst, binder) == {"x", "3"}
+    assert len(scopes._lambda_nodes(eg, inst.fn_class, inst.construct)) == 2
+    names = {n.symbol.name for n in eg.classes()[eg.find(BOTTOM, binder)] if n.symbol.arity == 0}
+    assert names == {"x", "3"}
