@@ -24,7 +24,7 @@ things must hold too:
 - every `_sig` entry, clashes or not, names a class that holds its row, so
   that an entry naming a logged row's class tells that the row is held;
 - every class its parent index `_uses` lists under a child holds a row over
-  that child: no dead parents remain.
+  that child: no dead parents remain; and every list there is a dict.
 
 Prints the number of views checked, or the first mismatch and exits 1:
 

@@ -508,7 +508,7 @@ class RunOutput:
                     if eng.eg.uf.unions_at[c]
                 },
                 "classes_per_context": {
-                    lat.name(c): len(eng.eg.class_ids(c)) for c in lat.ids()
+                    lat.name(c): len(eng.eg.views.get(c).classes) for c in lat.ids()
                 },
             },
         }

@@ -24,10 +24,10 @@ row, which congruence must merge. A repair, at bottom as at every other
 context, unions the clashes of the context's view until the patched view
 reports none, so its cost follows what changed. The bottom view is the
 class index (`classes`, live): bottom root -> its bottom-canonical nodes.
-The node store that add_node hash-conses against is re-keyed from the rows
-of the bottom view each bottom repair leaves. The cache holds the e-graph
-weakly, so the two form no reference cycle and reference counting frees
-them.
+Each bottom repair leaves the node store that add_node hash-conses against
+a copy of the bottom view's row map, then each row's one class. The cache
+holds the e-graph weakly, so the two form no reference cycle and reference
+counting frees them.
 
 FunctionSymbol, ENode and Term are named tuples, hashed and compared in C
 (each equals the plain tuple with the same fields). The hot sites build an
@@ -302,14 +302,14 @@ class EGraph:
     def _repair(self, ctx: ContextId) -> int:
         """Congruence closure at ctx: merge the clashes of ctx's patched view
         (classes whose nodes canonicalize alike) until it reports none. At
-        bottom, then re-key the node store by the repaired view's rows."""
+        bottom, the node store is then a copy of the repaired view's row map."""
         repairs = 0
         while (view := self.views.get(ctx)).clashes:
             for a, b in view.clashes:
                 if self.uf.union_new(ctx, a, b):
                     repairs += 1
         if ctx == BOTTOM:
-            self._nodes = {row: c for c, rows in view.classes.items() for row in rows}
+            self._nodes = view._sig.copy()
         return repairs
 
     # views

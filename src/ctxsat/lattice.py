@@ -8,7 +8,8 @@ equalities; least upper bounds are validated lazily because nothing in the
 engine needs arbitrary joins.
 
 Declaration is single-writer; the query operations (leq, meet, join, upset)
-read immutable per-element downsets and upsets and are safe to call from any
+read per-element downsets, which never change, and upsets, which each
+declaration grows in place by its one id, and are safe to call from any
 thread once declaration has quiesced. A declaration extends the upsets below
 it only once its validation has succeeded, so a refused one changes none.
 """
@@ -29,7 +30,7 @@ class _Element:
     name: str
     covers: frozenset[int]
     below: frozenset[int]  # downset: every id <= this one, itself included
-    above: frozenset[int]  # upset: every id >= this one, itself included
+    above: set[int]  # upset: every id >= this one, itself included; grows
 
 
 @dataclass
@@ -41,7 +42,7 @@ class ContextLattice:
     def __post_init__(self):
         if not self._elements:
             self._elements.append(
-                _Element(self.bottom_name, frozenset(), frozenset({BOTTOM}), frozenset({BOTTOM}))
+                _Element(self.bottom_name, frozenset(), frozenset({BOTTOM}), {BOTTOM})
             )
             self._by_name[self.bottom_name] = BOTTOM
 
@@ -82,7 +83,7 @@ class ContextLattice:
             self._check(c)
         new_id = len(self._elements)
         below = frozenset({new_id}).union(*(self._elements[c].below for c in covers))
-        elem = _Element(name, covers, below, frozenset({new_id}))
+        elem = _Element(name, covers, below, {new_id})
         self._elements.append(elem)
         # one cover g: meet(x, y) = meet(g, y) for every older y, and no older
         # pair gains a lower bound, so only a join of covers can break the lattice
@@ -94,7 +95,7 @@ class ContextLattice:
                 self._elements.pop()
                 raise
         for c in below - {new_id}:
-            self._elements[c].above |= {new_id}
+            self._elements[c].above.add(new_id)
         self._by_name[name] = new_id
         return new_id
 
@@ -128,7 +129,8 @@ class ContextLattice:
             out = self._glb(out, c)
         return out
 
-    def upset(self, c: ContextId) -> frozenset[ContextId]:
+    def upset(self, c: ContextId) -> set[ContextId]:
+        """Every id >= c: a live set that declarations grow; do not change it."""
         self._check(c)
         return self._elements[c].above
 

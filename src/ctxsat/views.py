@@ -40,14 +40,14 @@ joined through them, so merging them restores congruence; with no clash,
 its class when its `_sig` entry names that class, a dict probe; only with a
 clash reported is a class's rows scanned as well (`_live`).
 
-Parent index: `_uses` maps a child class to the classes holding a row over
-it, a tuple while they are at most `_FAN`, else a dict (keys only), so that
-a listing is tested and added in expected constant time however many
-parents a child has. A class whose rows move into another leaves its rows'
-children's lists, its new class taking its place there, so only live
-parents are listed. A first view's seed copies the mapping, not its
-containers: both chains then share every dict, and each copies a dict on
-its first write to it (`_own`, the children whose dict a chain owns).
+Parent index: `_uses` maps a child class to a dict (keys only) of the
+classes holding a row over it, so that a listing is tested, added and
+dropped in expected constant time however many parents a child has. A class
+whose rows move into another leaves its rows' children's dicts, and its new
+class is listed as it gains those rows, like any class gaining a row, so
+only live parents are listed. A first view's seed copies the mapping, not
+its dicts: both chains then share every dict, and each copies a dict on its
+first write to it (`_own`, the children whose dict a chain owns).
 
 Row log: matching reads a view as rows `(node, class)`. Each patch appends
 every row it adds to a class to its symbol's log as `(version, node, class)`,
@@ -86,10 +86,6 @@ from operator import itemgetter
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, _new
 from .lattice import BOTTOM, ContextId
 
-# a class's parents in `CanonicalView._uses` are a tuple up to this many,
-# a dict past it
-_FAN = 8
-
 
 @dataclass(slots=True)
 class CanonicalView:
@@ -103,8 +99,8 @@ class CanonicalView:
     # pairs of live classes holding a common row; cached views only
     clashes: list = field(default_factory=list, compare=False, repr=False)
     # patch state of a cached view (see the module docstring): row -> class,
-    # child class -> its parent classes, a tuple or a dict to None (ints
-    # only, which the cyclic garbage collector does not track), symbol ->
+    # child class -> a dict of its parent classes to None (ints only, which
+    # the cyclic garbage collector does not track), symbol ->
     # row log of (version, node, class) entries, symbol -> dead entries in
     # its log, and the change-log positions read: (len(lost[BOTTOM]),
     # len(lost[context]), ids made)
@@ -151,12 +147,6 @@ class CanonicalView:
             if n.symbol == symbol and n.children[pos] == child
         ]
 
-    def node_count(self) -> int:
-        return sum(len(ns) for ns in self.classes.values())
-
-    def class_count(self) -> int:
-        return len(self.classes)
-
 
 def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     """A fresh view of ctx from a scan of the node store."""
@@ -185,18 +175,15 @@ def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
         if other != c:
             view.clashes.append((other, c))
         for ch in row.children:
-            parents = uses.get(ch, ())
-            if c in parents:
-                continue
-            if type(parents) is tuple and len(parents) < _FAN:
-                uses[ch] = (*parents, c)
-                continue
-            # a tuple past _FAN, or a dict shared with another chain,
-            # becomes this chain's own dict
-            if type(parents) is tuple or ch not in own:
-                uses[ch] = parents = dict.fromkeys(parents)
+            parents = uses.get(ch)
+            if parents is None:
+                uses[ch] = {c: None}
                 own.add(ch)
-            parents[c] = None
+            elif c not in parents:
+                if ch not in own:  # shared with another chain: copied first
+                    uses[ch] = parents = parents.copy()
+                    own.add(ch)
+                parents[c] = None
 
 
 def _live(view: CanonicalView, entries: list) -> list:
@@ -236,25 +223,15 @@ def _patch(eg: EGraph, view: CanonicalView) -> None:
         dirty.setdefault(t, []).extend(rows)
         left += rows
         over.update(uses.pop(x, ()))
-        # x holds no row from now on, and t holds x's rows: t takes x's
-        # place among its rows' children's parents, or x just leaves
+        # x holds no row from now on: it leaves its rows' children's
+        # parents, and t is listed there as it gains the rows
         for n in rows:
             for ch in n.children:
-                parents = uses.get(ch, ())
-                if x not in parents:
-                    continue
-                if len(parents) <= _FAN:
-                    # a dict that small is a tuple again
-                    parents = tuple(parents)
-                    i = parents.index(x)
-                    mid = () if t in parents else (t,)
-                    uses[ch] = parents[:i] + mid + parents[i + 1:]
-                    continue
-                if ch not in own:
-                    uses[ch] = parents = dict.fromkeys(parents)
-                    own.add(ch)
-                del parents[x]
-                parents[t] = None
+                if x in uses.get(ch, ()):
+                    if ch not in own:
+                        uses[ch] = uses[ch].copy()
+                        own.add(ch)
+                    del uses[ch][x]
     for i in range(n_ids, len(eg.uf)):
         dirty.setdefault(find(ctx, i), []).append(canon(ctx, eg.created[i]))
     # uses lists only classes live before the patch, so a lost one's class
@@ -317,9 +294,14 @@ def _patch(eg: EGraph, view: CanonicalView) -> None:
     for n in left:
         dead[n.symbol] = dead.get(n.symbol, 0) + 1
     for sym in {n.symbol for n in left}:
-        if 2 * dead[sym] > len(entries := log[sym]):
-            entries[:] = _live(view, entries)
-            dead[sym] = 0
+        if 2 * dead[sym] > len(log[sym]):
+            _compact(view, sym)
+
+
+def _compact(view: CanonicalView, sym: FunctionSymbol) -> None:
+    """Drop the dead entries of sym's row log, in place, keeping the order."""
+    view._log[sym][:] = _live(view, view._log[sym])
+    view._dead[sym] = 0
 
 
 class ViewCache:
@@ -334,42 +316,49 @@ class ViewCache:
         self._views: dict[ContextId, CanonicalView] = {}
 
     def get(self, ctx: ContextId) -> CanonicalView:
-        eg = self._eg()
-        view = self._views.get(ctx)
+        eg, views = self._eg(), self._views
+        view = views.get(ctx)
         if view is None:
-            view = self._views[ctx] = self._seed(eg, ctx)
-        elif view._marks == marks(eg, ctx):
-            return view
-        _patch(eg, view)
+            # ctx and the contexts its view is seeded through, down to one
+            # with a view, seeded from there up: no recursion at any depth
+            chain = [ctx]
+            while chain[-1] != BOTTOM and (base := _base(eg, chain[-1])) not in views:
+                chain.append(base)
+            for c in reversed(chain):
+                view = views[c] = self._seed(eg, c)
+                _patch(eg, view)
+        elif view._marks != marks(eg, ctx):
+            _patch(eg, view)
         return view
 
     def _seed(self, eg: EGraph, ctx: ContextId) -> CanonicalView:
         """ctx's view before its first patch: at bottom an empty view, else
-        a copy of its one cover's current view (of bottom's if it has
-        several) with ctx's whole layer log still to read; the links it
-        copied from the cover pop no class of that view. The base view's
-        dead row log entries are dropped first, in place, as a patch drops
-        them (a row dead below ctx stays dead at ctx), so each log is
-        copied whole."""
+        a copy of its base's current view (`_base`) with ctx's whole layer
+        log still to read; the links it copied from the cover pop no class
+        of that view. The base view's dead row log entries are dropped
+        first, in place, as a patch drops them (a row dead below ctx stays
+        dead at ctx), so each log is copied whole."""
         if ctx == BOTTOM:
             return CanonicalView(BOTTOM, {}, 0)
-        covers = eg.lattice.covers(ctx)
-        base = self.get(min(covers) if len(covers) == 1 else BOTTOM)
-        log, dead = base._log, base._dead
-        for sym, n in dead.items():
+        base = self.get(_base(eg, ctx))
+        for sym, n in base._dead.items():
             if n:
-                entries = log[sym]
-                entries[:] = _live(base, entries)
-                dead[sym] = 0
+                _compact(base, sym)
         # both chains now share every parent dict: each copies one on its
         # first write
         base._own.clear()
         return CanonicalView(
             ctx, base.classes.copy(), base.version, base.clashes,
             base._sig.copy(), base._uses.copy(),
-            {sym: entries.copy() for sym, entries in log.items()}, {},
+            {sym: entries.copy() for sym, entries in base._log.items()}, {},
             (base._marks[0], 0, base._marks[2]),
         )
+
+
+def _base(eg: EGraph, ctx: ContextId) -> ContextId:
+    """ctx's one cover, or bottom if it has several: its first view's base."""
+    covers = eg.lattice.covers(ctx)
+    return min(covers) if len(covers) == 1 else BOTTOM
 
 
 class Strategy(enum.Enum):

@@ -204,7 +204,7 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
     `_sig` entry must name a class that holds its row, so that an entry
     naming a logged row's class tells that the row is still held. Every
     class listed in `_uses` under a child must hold a row over it: a class
-    that lost its rows leaves its children's lists.
+    that lost its rows leaves its children's lists, and each list is a dict.
     """
 
     def rows(classes):
@@ -235,6 +235,8 @@ def view_index_mismatch(view, prev, symbols) -> str | None:
         if (n, c) not in held:
             return f"_sig[{n}] names {c}, which does not hold it, at context {view.context}"
     for child, listed in view._uses.items():
+        if type(listed) is not dict:
+            return f"_uses[{child}] is a {type(listed).__name__} at context {view.context}"
         for c in listed:
             if not any(child in n.children for n in view.nodes_of(c)):
                 return f"_uses[{child}] lists {c}, with no row over it, at context {view.context}"

@@ -194,7 +194,8 @@ def test_single_cover_declarations_keep_meets_exact(seed):
 
     def snapshot():
         ids = list(lat.ids())
-        return [(lat.name(x), lat.upset(x), [lat.meet(x, y) for y in ids]) for x in ids]
+        # upsets are live sets, so the snapshot copies each
+        return [(lat.name(x), frozenset(lat.upset(x)), [lat.meet(x, y) for y in ids]) for x in ids]
 
     before = snapshot()
     with pytest.raises(NotALattice):
