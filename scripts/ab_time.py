@@ -22,9 +22,10 @@ It runs 20 rounds unless `--rounds` says otherwise: fewer do not resolve a
 1-2% effect on a small VM shared with other loads.
 
 `--workload deep` is no benchmark workload: it times the nested towers of
-depth 32 and 64 and the lambda chain of depth 6 (`tower_op(32, 1)`,
-`tower_op(64, 1)`, `lambda_op([1, 2] * 3)`), to check that a change is no
-slower at depth.
+depth 32 and 64, the lambda chain of depth 6 (`tower_op(32, 1)`,
+`tower_op(64, 1)`, `lambda_op([1, 2] * 3)`) and a 500-deep context chain
+(`chain_op(wl, 500)`), to check that a change is no slower at depth, in
+declaring and seeding contexts too.
 
 `--a` and `--b` are checkout roots (each with src/ctxsat/); a speed-up
 above 1 means B is faster. On a 2-vCPU Xeon VM, 20 rounds of `scopes` or
@@ -83,7 +84,7 @@ def distinct_ops(wl, workload: str) -> list[tuple[object, float]]:
     the weights sum to the ops of one round."""
     if workload == "deep":
         return [(wl.tower_op(32, 1), 1.0), (wl.tower_op(64, 1), 1.0),
-                (wl.lambda_op([1, 2] * 3), 1.0)]
+                (wl.lambda_op([1, 2] * 3), 1.0), (chain_op(wl, 500), 1.0)]
     ops, weights = {}, {}
     for variants, count in wl.PREPARE[workload](1).rounds.kinds:
         for op in (op for variant in variants for op in variant):
@@ -91,6 +92,19 @@ def distinct_ops(wl, workload: str) -> list[tuple[object, float]]:
             ops.setdefault(key, op)
             weights[key] = weights.get(key, 0.0) + count / len(variants)
     return [(op, weights[key]) for key, op in ops.items()]
+
+
+def chain_op(wl, d: int):
+    """A chain of d contexts, each covering the one before, with a rule
+    scoped at the top and two checks: that the rule holds at the top and
+    not just below it."""
+    lines = [
+        "(function f 1) (function a 0) (function b 0) (context c1 (covers bot))",
+        *(f"(context c{i} (covers c{i - 1}))" for i in range(2, d + 1)),
+        f"(rule a-is-b a b :scope c{d})", "(term (f a))", "(run 3)",
+        f"(check-equal c{d} (f a) (f b))", f"(check-not-equal c{d - 1} (f a) (f b))",
+    ]
+    return wl._program(f"chain-d{d}", lines)
 
 
 def family(label: str) -> str:

@@ -303,10 +303,10 @@ class EGraph:
         """Congruence closure at ctx: merge the clashes of ctx's patched view
         (classes whose nodes canonicalize alike) until it reports none. At
         bottom, the node store is then a copy of the repaired view's row map."""
-        repairs = 0
+        repairs, union = 0, self.uf._union
         while (view := self.views.get(ctx)).clashes:
             for a, b in view.clashes:
-                if self.uf.union_new(ctx, a, b):
+                if union(ctx, a, b):
                     repairs += 1
         if ctx == BOTTOM:
             self._nodes = view._sig.copy()

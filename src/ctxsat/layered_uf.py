@@ -17,7 +17,11 @@ Two maintenance duties keep overlays coherent:
   base-canonical, so base unions immediately re-key affected overlay entries
   (the relation itself is unchanged by the repair).
 
-Contexts declared after unions have happened start from their covers'
+A context's overlay is made in one place, `register_context`: the
+constructor calls it for the contexts the lattice already holds, and the
+e-graph as it declares each later one, so every read finds `_overlay[ctx]`
+and the public entry points need only validate ctx with the lattice. A
+context declared after unions have happened starts from its covers'
 relations, which preserves order for late arrivals: a context with one
 cover copies that cover's overlay dict (an empty one over bottom) and logs
 no lost root, as it loses none of the cover's layer; a context with several
@@ -87,6 +91,7 @@ class LayeredUnionFind:
         return i
 
     def find(self, ctx: ContextId, x: NodeId) -> NodeId:
+        self.lattice.check(ctx)
         self._check_node(x)
         return self._find(ctx, x)
 
@@ -98,9 +103,7 @@ class LayeredUnionFind:
             r = self._base_find(x)
         if ctx == BOTTOM:
             return r
-        ov = self._overlay.get(ctx)
-        if ov is None:
-            ov = self._overlay_for(ctx)
+        ov = self._overlay[ctx]
         nxt = ov.get(r)
         if nxt is None:
             return r
@@ -115,11 +118,15 @@ class LayeredUnionFind:
         return r
 
     def equiv(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
-        return self.find(ctx, a) == self.find(ctx, b)
+        self.lattice.check(ctx)
+        self._check_node(a)
+        self._check_node(b)
+        return self._find(ctx, a) == self._find(ctx, b)
 
     def union_new(self, ctx: ContextId, a: NodeId, b: NodeId) -> bool:
         """Union a and b at ctx (and above); report whether anything merged
         at ctx."""
+        self.lattice.check(ctx)
         self._check_node(a)
         self._check_node(b)
         return self._union(ctx, a, b)
@@ -157,9 +164,9 @@ class LayeredUnionFind:
                 f"intersect target {self.lattice.name(lo)!r} is not below both "
                 f"{self.lattice.name(c1)!r} and {self.lattice.name(c2)!r}"
             )
-        keys = {k for c in (c1, c2) if c != BOTTOM for k in self._overlay_for(c)}
+        keys = {k for c in (c1, c2) if c != BOTTOM for k in self._overlay[c]}
         if lo != BOTTOM:
-            keys -= self._overlay_for(lo).keys()
+            keys -= self._overlay[lo].keys()
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
         for k in keys:
             groups[(self._find(c1, k), self._find(c2, k))].append(k)
@@ -221,14 +228,6 @@ class LayeredUnionFind:
         self._overlay[ctx][loser] = winner
         self.lost[ctx].append(loser)
         return True
-
-    def _overlay_for(self, ctx: ContextId) -> dict[int, int]:
-        # an id with no overlay yet is validated by register_context
-        try:
-            return self._overlay[ctx]
-        except KeyError:
-            self.register_context(ctx)
-            return self._overlay[ctx]
 
     def _check_node(self, x: NodeId) -> None:
         if not isinstance(x, int) or not 0 <= x < len(self._parent):

@@ -343,7 +343,7 @@ class Engine:
         if not lat.has_name(scope.context):
             return []
         c = lat.id_of(scope.context)
-        return [c] if isinstance(scope, AtContext) else sorted(lat.upset(c))
+        return [c] if isinstance(scope, AtContext) else lat.upset(c)
 
     # the scope phases (see the scopes module)
 

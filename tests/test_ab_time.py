@@ -30,7 +30,7 @@ def test_ops_fall_into_families_by_depth_and_length():
     towers = {f"tower-d{d}" for d in range(4, 13)}
     assert families["scopes"] == towers | {"lambda-d2", "lambda-d3", "lambda-d4"}
     assert families["ac"] == {"ac-n3", "ac-n4", "ac-n5"}
-    assert families["deep"] == {"tower-d32", "tower-d64", "lambda-d6"}
+    assert families["deep"] == {"tower-d32", "tower-d64", "lambda-d6", "chain-d500"}
     assert ab_time.family("tower-d12-l1: (check-equal bot a b)") == "tower-d12"
     assert ab_time.family("lambda: stats bot") == "lambda"
 
@@ -53,3 +53,4 @@ def test_summary_line_counts_the_rounds_b_won():
         "scopes: 100 ops, 5 rounds, speed-up x1.050 (IQR 0.950-1.150), B won 3 of 5 rounds"
     )
     assert ab_time.summary_line("ac", 8, [0.98]).endswith("x0.980 (IQR 0.980-0.980), B won 0 of 1 rounds")
+

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,8 @@ def test_two_element_chain():
     s = lat.declare_context("s", {BOTTOM})
     assert lat.leq(BOTTOM, s)
     assert not lat.leq(s, BOTTOM)
-    assert lat.upset(s) == frozenset({s})
-    assert lat.upset(BOTTOM) == frozenset({BOTTOM, s})
+    assert set(lat.upset(s)) == {s}
+    assert set(lat.upset(BOTTOM)) == {BOTTOM, s}
 
 
 def test_declared_join_of_incomparable_pair():
@@ -72,7 +74,7 @@ def test_join_examples():
 
 def test_upset_of_branch_is_itself():
     lat, then, els = branch_lattice()
-    assert lat.upset(then) == frozenset({then})
+    assert set(lat.upset(then)) == {then}
 
 
 def test_duplicate_name_rejected():
@@ -107,6 +109,40 @@ def test_second_upper_bound_breaks_glb_uniqueness():
     assert len(lat) == 4
 
 
+def test_refused_join_names_both_maximal_lower_bounds():
+    lat, a, b = branch_lattice()
+    lat.declare_context("c", {a, b})
+    with pytest.raises(NotALattice, match=r"'d' and 'c' have 2 maximal lower bounds: \['else', 'then'\]"):
+        lat.declare_context("d", {a, b})
+
+
+def test_a_3000_deep_chain_declares_in_little_memory_and_time():
+    """Each element keeps its downset as one int, so a chain of d contexts
+    holds O(d) words of masks, not O(d^2) set entries (about 470 MB here
+    when each element stored its down- and upset as sets)."""
+    d = 3000
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        lat = ContextLattice()
+        top = BOTTOM
+        for i in range(1, d + 1):
+            top = lat.declare_context(f"c{i}", {top})
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert elapsed < 2, f"{elapsed:.2f} s"
+    assert top == d and lat.name(top) == f"c{d}"
+    assert lat.leq(BOTTOM, top) and lat.leq(top - 1, top) and lat.leq(top, top)
+    assert not lat.leq(top, BOTTOM) and not lat.leq(top, top - 1)
+    assert lat.meet(BOTTOM, top) == BOTTOM and lat.meet(top, top - 1) == top - 1
+    assert lat.meet(1, top) == 1
+    assert lat.upset(top) == [top] and lat.upset(top - 1) == [top - 1, top]
+    assert lat.upset(BOTTOM) == list(range(d + 1))
+
+
 def random_lattice(rng: random.Random, max_elems: int = 8) -> ContextLattice:
     lat = ContextLattice()
     n = rng.randint(0, max_elems - 1)
@@ -126,7 +162,7 @@ def test_meet_join_agree_with_brute_force(seed):
     lat = random_lattice(random.Random(seed))
     for a in lat.ids():
         # refused declarations in random_lattice leave no residue here
-        assert lat.upset(a) == frozenset(x for x in lat.ids() if lat.leq(a, x))
+        assert lat.upset(a) == [x for x in lat.ids() if lat.leq(a, x)]
         for b in lat.ids():
             maximal = brute_glb(lat, a, b)
             assert len(maximal) == 1, "declaration-time validation should forbid this"
@@ -194,8 +230,7 @@ def test_single_cover_declarations_keep_meets_exact(seed):
 
     def snapshot():
         ids = list(lat.ids())
-        # upsets are live sets, so the snapshot copies each
-        return [(lat.name(x), frozenset(lat.upset(x)), [lat.meet(x, y) for y in ids]) for x in ids]
+        return [(lat.name(x), lat.upset(x), [lat.meet(x, y) for y in ids]) for x in ids]
 
     before = snapshot()
     with pytest.raises(NotALattice):

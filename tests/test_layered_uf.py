@@ -342,11 +342,13 @@ def test_intersection_unions_no_group_head_with_itself():
             g = rng.randrange(len(lat))
             if rng.random() < 0.2 and len(lat) < 7:
                 c1, c2 = (lat.declare_context(f"c{len(lat)}", {g}) for _ in range(2))
+                uf.register_context(c1)
+                uf.register_context(c2)
                 for _ in range(rng.randint(1, 4)):
                     c, a, b = rng.choice((c1, c2)), rng.randrange(ref.n), rng.randrange(ref.n)
                     uf.union_new(c, a, b)
                     ref.union(c, a, b)
-                keys += len(uf._overlay_for(c1).keys() | uf._overlay_for(c2).keys())
+                keys += len(uf._overlay[c1].keys() | uf._overlay[c2].keys())
                 uf._union, pairs[:] = counted, []
                 assert uf.intersect_into(g, c1, c2) == ref.intersect_into(g, c1, c2)
                 del uf._union

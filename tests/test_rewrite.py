@@ -1032,7 +1032,7 @@ def test_scoped_rule_unions_stay_at_or_above_scope():
         c for c in eg.uf.unions_at
         if eg.uf.unions_at[c] != before.get(c, 0)
     }
-    assert touched <= eg.lattice.upset(s)
+    assert touched <= set(eg.lattice.upset(s))
     assert eg.equiv(s, eg.intern(term("f", term("a"))), eg.intern(term("g", term("a"))))
     assert not eg.equiv(BOTTOM, eg.intern(term("f", term("a"))), eg.intern(term("g", term("a"))))
     assert eg.equiv(t, eg.intern(term("f", term("a"))), eg.intern(term("g", term("a"))))

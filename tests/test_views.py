@@ -549,7 +549,7 @@ def test_a_context_3000_covers_deep_runs_and_seeds_without_recursion():
     out = run_source(source)
     assert time.perf_counter() - start < 20
     assert out.reports[-1].saturated and [c.ok for c in out.checks] == [True, True]
-    del out  # each chain's lattice holds about 0.5 GB of up- and downsets
+    del out  # each chain's lattice keeps its downsets in under 1 MB of masks
 
     eng = Engine()
     eg = eng.eg
