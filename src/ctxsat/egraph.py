@@ -309,7 +309,7 @@ class EGraph:
                 if union(ctx, a, b):
                     repairs += 1
         if ctx == BOTTOM:
-            self._nodes = view._sig.copy()
+            self._nodes = view.row_map()
         return repairs
 
     # views

@@ -152,5 +152,5 @@ class ContextLattice:
         )
 
     def _check(self, c: ContextId) -> None:
-        if not isinstance(c, int) or not 0 <= c < len(self._down):
+        if type(c) is not int or not 0 <= c < len(self._down):
             raise UnknownContext(f"context id {c!r} is not declared")

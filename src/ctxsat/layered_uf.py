@@ -230,5 +230,5 @@ class LayeredUnionFind:
         return True
 
     def _check_node(self, x: NodeId) -> None:
-        if not isinstance(x, int) or not 0 <= x < len(self._parent):
+        if type(x) is not int or not 0 <= x < len(self._parent):
             raise UnknownNode(f"node id {x!r} was never created")

@@ -1,4 +1,6 @@
-"""Patterns, rewrite rules, their compiler, and the saturation loop.
+"""The query engine: patterns, rewrite rules, their compiler, the join
+plans, the join, and the semi-naive saturation loop. The database they read
+is the views module's, and a view is read here only through its methods.
 
 Rules are tree patterns with variables. A rule's scope decides which
 contexts it fires in: everywhere (every declared context), a single named
@@ -10,39 +12,44 @@ below, so derived equalities live exactly where their justification does.
 
 E-matching is relational: a left-hand side compiles to a conjunctive query
 with one atom `f(children) -> class` per application, evaluated by one
-join (`views._join`) over the rows `(node, class)` of a view, which
-extends a match through an atom's class or through the rows over a
-class. A constant (a nullary atom other than the root) is bound to its
-stored node's class before the join, so a parent row over another class
-fails at once, and a constant that is not stored matches nothing. A first
-join starts from the root symbol's rows in the view's row log (see the
-views module). Runs are semi-naive: each rule joins, once from each
-non-constant atom, only from the rows logged after its last run at the
-context; if a constant's own row was logged since, every match holds it,
-so the rule joins in full. Rows change monotonically, so a match built
-only from older rows was found then and its right-hand side added and
-merged; skipping it leaves the relation as the next rebuild would.
-(Re-adding a nested right-hand side before that rebuild can meet a child
-merged at bottom meanwhile, so a run that re-matched everything may number
-fresh ids, and count unions per context, differently.)
+join (`_join`) over the rows `(node, class)` of a view, which extends a
+match through an atom's class or through the rows over a class. A constant
+(a nullary atom other than the root) is bound to its stored node's class
+before the join, so a parent row over another class fails at once, and a
+constant that is not stored matches nothing. A first join starts from the
+root symbol's rows (`_rows` with since = -1). Runs are semi-naive: each
+rule joins, once from each non-constant atom, only from the rows logged
+after its last run at the context; if a constant's own row was logged
+since, every match holds it, so the rule joins in full. Rows change
+monotonically, so a match built only from older rows was found then and
+its right-hand side added and merged; skipping it leaves the relation as
+the next rebuild would. (Re-adding a nested right-hand side before that
+rebuild can meet a child merged at bottom meanwhile, so a run that
+re-matched everything may number fresh ids, and count unions per context,
+differently.)
+
+Join plans: `plan_join` fixes once per compiled query, for each atom a
+join can start from, the visit order, how each atom is reached (through a
+bound class or as a parent) and which fields bind, check or repeat a slot,
+each plan in time linear in the query's atoms; `_join` runs a plan on flat
+tuples, with no search and no binding per field.
 
 Two tests let a rule visit that cannot match cost a few dictionary probes.
 A delta call returns before binding anything when none of its query's
-distinct symbols logged a row since (`_idle`). A rule whose root's
-arguments are all constants has one root row once the constants are bound
-(`_root_row`), probed once: every row a view's class holds has a `_sig`
-entry, so when that row has none the call returns before any join, first
-or delta. With no clash reported the entry is the one class holding the
-row, so it decides the visit with no join at all: its one match is the
-row's class, in a delta call only if the row was logged in it since. With
-clashes, and under Strategy.ON_THE_FLY, the rule joins as any other.
+distinct symbols `moved` since. A rule whose root's arguments are all
+constants has one root row once the constants are bound: when the view
+names no `holder` for it, the call returns before any join. With no clash
+reported the holder is the one class holding the row, so it decides the
+visit with no join at all: its one match is the row's class, in a delta
+call only if the row was logged in it since. With clashes, and under
+Strategy.ON_THE_FLY, the rule joins as any other.
 
 Patterns are built here too: `_term_to_pattern` turns a program's term,
 in which a symbol starting with `?` is a variable, into a pattern over the
 e-graph's declared symbols. Each rule compiles once, in `add_rule`, and
 only this module reads the pattern classes' fields: `_compile` turns its
 left-hand side into a query (`_Query`) with a join plan from each atom
-(`views.plan_join`), and `_compile_rhs` its right-hand side into post-order
+(`plan_join`), and `_compile_rhs` its right-hand side into post-order
 steps over a match's slot tuple (root, values in variable-name order), in
 which a variable is its position and each step takes the next one. The
 loop gets slot tuples from `ematch` and applies them in their sorted
@@ -58,6 +65,7 @@ during the run, as its methods; `run` calls every phase through the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import scopes
@@ -65,7 +73,7 @@ from .egraph import ClassId, EGraph, FunctionSymbol, Term
 from .errors import DuplicateRule, UnboundRhsVariable
 from .extract import CostModel
 from .lattice import ContextId
-from .views import OnTheFlyProvider, Strategy, _join, plan_join
+from .views import OnTheFlyProvider, Strategy
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,105 @@ def _compile(pattern: Pattern) -> _Query:
         ground = tuple(at[s] for s in atoms[0][1])
     plans = plan_join(atoms, consts, [slots[n] for n in names])
     return _Query(atoms, consts, names, plans, tuple(dict.fromkeys(a[0] for a in atoms)), ground)
+
+
+def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
+    """A static join plan for each non-constant atom of a compiled query,
+    keyed by the atom it starts from.
+
+    A partial match is a flat tuple: the constants' classes in the order of
+    consts, then each visited row's fields (the class first, unless the row
+    was reached through its class). A plan is (check, steps, project): the
+    start row's check, then steps (symbol, position, child index or None,
+    check), each reaching its atom through the class at that position
+    (None) or as a parent at the child index over it. A check is None or
+    two item getters that agree when each field equals the earlier field of
+    its slot; a field equal by construction is not checked. project maps a
+    full match to its root and the values of var_slots, in order.
+
+    The visit is depth first from the start atom; an atom's unvisited
+    neighbours (the atoms that make one of its arguments or use its class)
+    are pushed in ascending index, so the last one pushed is visited next."""
+    # an atom's neighbours: the atoms whose class is one of its arguments,
+    # and the atom its class is an argument of, listed once, so that a plan
+    # takes time linear in the atoms. A compiled query is a tree numbered
+    # in pre-order, so a slot is the class of one atom at most, and each
+    # list, its parent first, comes out ascending.
+    maker = {atom[2]: j for j, atom in enumerate(atoms)}
+    near = [[] for _ in atoms]
+    for j, atom in enumerate(atoms):
+        for s in atom[1]:
+            i = maker.get(s)
+            if i is not None:
+                near[j].append(i)
+                near[i].append(j)
+    plans = {}
+    for start in range(len(atoms)):
+        if start in consts:
+            continue
+        at = {atoms[j][2]: k for k, j in enumerate(consts)}  # slot -> position
+        size = len(consts)
+
+        def row(slots, skip=-1):
+            """Place a row's fields at the next positions; its check."""
+            nonlocal size
+            pairs = []
+            for k, s in enumerate(slots, size):
+                if s not in at:
+                    at[s] = k
+                elif k != size + skip:
+                    pairs.append((k, at[s]))
+            size += len(slots)
+            if not pairs:
+                return None
+            return itemgetter(*(k for k, _ in pairs)), itemgetter(*(p for _, p in pairs))
+
+        _, args, out = atoms[start]
+        first, steps = row((out, *args)), []
+        done, frontier = {start, *consts}, [start]
+        while frontier:
+            i = frontier.pop()
+            _, args, out = atoms[i]
+            for j in near[i]:
+                if j in done:
+                    continue
+                sym_j, args_j, out_j = atoms[j]
+                done.add(j)
+                frontier.append(j)
+                if out_j in args:
+                    steps.append((sym_j, at[out_j], None, row(args_j)))
+                else:
+                    pos = args_j.index(out)
+                    steps.append((sym_j, at[out], pos, row((out_j, *args_j), 1 + pos)))
+        keys = [at[0], *map(at.__getitem__, var_slots)]
+        project = itemgetter(*keys) if len(keys) > 1 else lambda t, k=keys[0]: (t[k],)
+        plans[start] = (first, steps, project)
+    return plans
+
+
+def _join(db, plan: tuple, fixed: list, seeds) -> list[tuple]:
+    """The matches (root, values in variable-name order) of a plan from
+    its start rows seeds (node, class), the constants' classes fixed."""
+    check, steps, project = plan
+    nodes_of = db.nodes_of
+    partial = _keep(check, [(*fixed, c, *n.children) for n, c in seeds])
+    for sym, at, pos, check in steps:
+        if not partial:
+            return []
+        if pos is None:
+            partial = [t + n.children for t in partial for n in nodes_of(t[at]) if n.symbol == sym]
+        else:
+            partial = [(*t, c, *n.children) for t in partial for n, c in db._parents(sym, pos, t[at])]
+        partial = _keep(check, partial)
+    return list(map(project, partial))
+
+
+def _keep(check, rows: list[tuple]) -> list[tuple]:
+    """The rows whose fields pass a plan's check."""
+    if check is None:
+        return rows
+    left, right = check
+    return [t for t in rows if left(t) == right(t)]
 
 
 def _compile_rhs(pattern: Pattern, names: list) -> tuple[list, int]:
@@ -297,7 +404,7 @@ class Engine:
             db = eg.views.get(ctx)
         if not atoms:
             found = [(c, c) for c in db.class_ids()]
-        elif since is not None and _idle(db, symbols, since):
+        elif since is not None and not db.moved(symbols, since):
             return []
         else:
             fixed = []  # the constants' classes, in the order of consts, as plans read them
@@ -306,10 +413,9 @@ class Engine:
                 if cls is None:
                     return []
                 fixed.append(eg.uf._find(ctx, cls))
-            f = atoms[0][0]
             if ground is not None:
-                row, c = _root_row(db, f, fixed, ground)
-                if c is None:
+                row = (atoms[0][0], tuple([fixed[k] for k in ground]))  # the one root row
+                if (c := db.holder(row)) is None:
                     return []
             # a constant's new row is in every match
             if since is not None:
@@ -322,11 +428,8 @@ class Engine:
             else:
                 if since is not None:
                     starts = [(plan, db._rows(atoms[i][0], since)) for i, plan in plans.items()]
-                elif strategy is Strategy.ON_THE_FLY:
-                    seeds = [(n, c) for c in db.class_ids() for n in db.nodes_of(c) if n.symbol == f]
-                    starts = [(plans[0], seeds)]
                 else:
-                    starts = [(plans[0], db._rows(f, -1))]
+                    starts = [(plans[0], db._rows(atoms[0][0], -1))]
                 found = {m for plan, seeds in starts for m in _join(db, plan, fixed, seeds)}
         matches = sorted(found)
         if query is pattern:
@@ -390,20 +493,3 @@ class Engine:
                 eg.lattice.id_of(rule.scope.context)  # raises UnknownContext
         return report
 
-
-def _idle(db, symbols: tuple, since: int) -> bool:
-    """Whether no row of any of a query's symbols was logged after since."""
-    log = db._log
-    for sym in symbols:
-        entries = log.get(sym)
-        if entries and entries[-1][0] > since:
-            return False
-    return True
-
-
-def _root_row(db, symbol: FunctionSymbol, fixed: list, ground: tuple) -> tuple:
-    """The one root row of a query whose root's arguments are all constants,
-    over the constants' classes, and the class of the view holding it, its
-    `_sig` entry, or None: every row a class holds has a `_sig` entry."""
-    row = (symbol, tuple([fixed[k] for k in ground]))
-    return row, db._sig.get(row)

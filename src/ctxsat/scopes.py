@@ -23,15 +23,16 @@ root terms, descending into branch bodies under the branch context and
 everywhere else under the current one, so nested conditionals land their
 intersections at the enclosing branch context rather than at bottom. The
 walk skips a class from which no conditional or application node can be
-reached (`_reach`, read from the bottom view's rows and parent index when
-the walk starts): nothing below such a class instantiates or merges, and a
-class that reaches a construct is reached only through classes that do too,
-so the walk meets instances and merges in the same order.
+reached (`CanonicalView.reach`, read from the bottom view when the walk
+starts): nothing below such a class instantiates or merges, and a class
+that reaches a construct is reached only through classes that do too, so
+the walk meets instances and merges in the same order.
 
 An instance's lambda nodes, and the nullary names of each binder class,
 are read from the bottom view whenever the walk or a lift needs them
-(`_lambda_nodes`). The public functions take the engine (`rewrite.Engine`),
-which binds them.
+(`_lambda_nodes`). No view index is read here: the database is the views
+module's, the queries the rewrite module's. The public functions take the
+engine (`rewrite.Engine`), which binds them.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def apply_scopes(eng) -> int:
     }
     app_syms = {sc.app_sym: sc for sc in eng.lambdas}
     lam_syms = {sc.lam_sym for sc in eng.lambdas}
-    reach = _reach(eg.views.get(BOTTOM), [*if_syms, *app_syms])
+    reach = eg.views.get(BOTTOM).reach([*if_syms, *app_syms])
 
     cond_keys = {
         (inst.gamma, find(BOTTOM, inst.cond)): inst
@@ -218,19 +219,6 @@ def apply_scopes(eng) -> int:
         eg.merge(gamma, a, b)
     _reflect_equalities(eng)
     return new_instances
-
-
-def _reach(view, symbols: list) -> set:
-    """The classes of a view from which a node of one of symbols can be
-    reached: those holding one, and the parents of a class in the set."""
-    reach = {c for sym in symbols for _, c in view._rows(sym, -1)}
-    todo, uses = [*reach], view._uses
-    while todo:
-        for c in uses.get(todo.pop(), ()):
-            if c not in reach:
-                reach.add(c)
-                todo.append(c)
-    return reach
 
 
 def _lambda_nodes(eg, fn_cls: ClassId, sc: LambdaScope) -> list[ENode]:

@@ -1,4 +1,4 @@
-"""Canonicalized per-context databases.
+"""The database: canonicalized per-context views and their indexes.
 
 A canonical view of a context replaces every child reference with the child's
 representative in that context and deduplicates the resulting nodes. Views of
@@ -63,16 +63,11 @@ the view still holds: the delta semi-naive matching joins from (see the
 rewrite module), and with since = -1 every row of the symbol, which a first
 join starts from. `_parents` reads the rows over a child class from the
 classes in `_uses`, and `_logged` whether one row was logged in a class
-after since. The patch's own state is thus the only index of `_join`, the
-join that `Engine.ematch` runs here, and of the probe of a rule's one root
-row in `_sig`.
-
-Join plans: `plan_join` fixes once per compiled query (see the rewrite
-module), for each atom a join can start from, the visit order, how each
-atom is reached (through a bound class or as a parent) and which fields
-bind, check or repeat a slot, each plan in time linear in the query's
-atoms; `_join` runs a plan on flat tuples, with no search and no binding
-per field.
+after since. Only this module reads a view's indexes: every other module
+reads a view through these methods and four more, whether a query's
+symbols `moved` since a visit, the `holder` of a row, the classes that
+`reach` a symbol's rows, and the `row_map` a bottom repair takes as the
+node store. The queries over a view are the rewrite module's.
 """
 
 from __future__ import annotations
@@ -81,7 +76,6 @@ import enum
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .egraph import ClassId, EGraph, ENode, FunctionSymbol, _new
 from .lattice import BOTTOM, ContextId
@@ -147,6 +141,34 @@ class CanonicalView:
             if n.symbol == symbol and n.children[pos] == child
         ]
 
+    def moved(self, symbols, since: int) -> bool:
+        """Whether a row of any of symbols was logged after since."""
+        log = self._log
+        for sym in symbols:
+            if (entries := log.get(sym)) and entries[-1][0] > since:
+                return True
+        return False
+
+    def holder(self, row) -> ClassId | None:
+        """A class holding row (every row a class holds has a `_sig` entry),
+        or None; with no clash reported, the one class holding row."""
+        return self._sig.get(row)
+
+    def reach(self, symbols) -> set[ClassId]:
+        """The classes from which a row of one of symbols can be reached."""
+        reach = {c for sym in symbols for _, c in self._rows(sym, -1)}
+        todo, uses = [*reach], self._uses
+        while todo:
+            for c in uses.get(todo.pop(), ()):
+                if c not in reach:
+                    reach.add(c)
+                    todo.append(c)
+        return reach
+
+    def row_map(self) -> dict[ENode, ClassId]:
+        """A copy of the map from each row to a class holding it."""
+        return self._sig.copy()
+
 
 def build_view(eg: EGraph, ctx: ContextId) -> CanonicalView:
     """A fresh view of ctx from a scan of the node store."""
@@ -163,7 +185,7 @@ def marks(eg: EGraph, ctx: ContextId) -> tuple[int, int, int]:
     """The change log's current positions for ctx: a view patched up to
     them is current."""
     uf = eg.uf
-    return len(uf.lost[BOTTOM]), len(uf.lost[ctx]), len(uf._parent)
+    return len(uf.lost[BOTTOM]), len(uf.lost[ctx]), len(uf)
 
 
 def _add_rows(view: CanonicalView, c: ClassId, rows) -> None:
@@ -370,10 +392,8 @@ class Strategy(enum.Enum):
 
 
 class OnTheFlyProvider:
-    """Canonicalizes per query without retaining a snapshot.
-
-    Work is done lazily per requested class and discarded with the provider.
-    """
+    """Canonicalizes per query, lazily per requested class, and keeps no
+    snapshot and no row log."""
 
     def __init__(self, eg: EGraph, ctx: ContextId):
         self.eg = eg
@@ -390,101 +410,6 @@ class OnTheFlyProvider:
             self._memo[c] = got
         return got
 
-
-def plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
-    """A static join plan for each non-constant atom of a compiled query
-    (see the rewrite module), keyed by the atom it starts from.
-
-    A partial match is a flat tuple: the constants' classes in the order of
-    consts, then each visited row's fields (the class first, unless the row
-    was reached through its class). A plan is (check, steps, project): the
-    start row's check, then steps (symbol, position, child index or None,
-    check), each reaching its atom through the class at that position
-    (None) or as a parent at the child index over it. A check is None or
-    two item getters that agree when each field equals the earlier field of
-    its slot; a field equal by construction is not checked. project maps a
-    full match to its root and the values of var_slots, in order.
-
-    The visit is depth first from the start atom; an atom's unvisited
-    neighbours (the atoms that make one of its arguments or use its class)
-    are pushed in ascending index, so the last one pushed is visited next."""
-    # an atom's neighbours: the atoms whose class is one of its arguments,
-    # and the atom its class is an argument of, listed once, so that a plan
-    # takes time linear in the atoms. A compiled query is a tree numbered
-    # in pre-order, so a slot is the class of one atom at most, and each
-    # list, its parent first, comes out ascending.
-    maker = {atom[2]: j for j, atom in enumerate(atoms)}
-    near = [[] for _ in atoms]
-    for j, atom in enumerate(atoms):
-        for s in atom[1]:
-            i = maker.get(s)
-            if i is not None:
-                near[j].append(i)
-                near[i].append(j)
-    plans = {}
-    for start in range(len(atoms)):
-        if start in consts:
-            continue
-        at = {atoms[j][2]: k for k, j in enumerate(consts)}  # slot -> position
-        size = len(consts)
-
-        def row(slots, skip=-1):
-            """Place a row's fields at the next positions; its check."""
-            nonlocal size
-            pairs = []
-            for k, s in enumerate(slots, size):
-                if s not in at:
-                    at[s] = k
-                elif k != size + skip:
-                    pairs.append((k, at[s]))
-            size += len(slots)
-            if not pairs:
-                return None
-            return itemgetter(*(k for k, _ in pairs)), itemgetter(*(p for _, p in pairs))
-
-        _, args, out = atoms[start]
-        first, steps = row((out, *args)), []
-        done, frontier = {start, *consts}, [start]
-        while frontier:
-            i = frontier.pop()
-            _, args, out = atoms[i]
-            for j in near[i]:
-                if j in done:
-                    continue
-                sym_j, args_j, out_j = atoms[j]
-                done.add(j)
-                frontier.append(j)
-                if out_j in args:
-                    steps.append((sym_j, at[out_j], None, row(args_j)))
-                else:
-                    pos = args_j.index(out)
-                    steps.append((sym_j, at[out], pos, row((out_j, *args_j), 1 + pos)))
-        keys = [at[0], *map(at.__getitem__, var_slots)]
-        project = itemgetter(*keys) if len(keys) > 1 else lambda t, k=keys[0]: (t[k],)
-        plans[start] = (first, steps, project)
-    return plans
-
-
-def _join(db, plan: tuple, fixed: list, seeds) -> list[tuple]:
-    """The matches (root, values in variable-name order) of a plan from
-    its start rows seeds (node, class), the constants' classes fixed."""
-    check, steps, project = plan
-    nodes_of = db.nodes_of
-    partial = _keep(check, [(*fixed, c, *n.children) for n, c in seeds])
-    for sym, at, pos, check in steps:
-        if not partial:
-            return []
-        if pos is None:
-            partial = [t + n.children for t in partial for n in nodes_of(t[at]) if n.symbol == sym]
-        else:
-            partial = [(*t, c, *n.children) for t in partial for n, c in db._parents(sym, pos, t[at])]
-        partial = _keep(check, partial)
-    return list(map(project, partial))
-
-
-def _keep(check, rows: list[tuple]) -> list[tuple]:
-    """The rows whose fields pass a plan's check."""
-    if check is None:
-        return rows
-    left, right = check
-    return [t for t in rows if left(t) == right(t)]
+    def _rows(self, symbol: FunctionSymbol, since: int) -> list[tuple[ENode, ClassId]]:
+        """Every row (node, class) of symbol: the provider keeps no log."""
+        return [(n, c) for c in self.class_ids() for n in self.nodes_of(c) if n.symbol == symbol]

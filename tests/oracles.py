@@ -288,7 +288,7 @@ def whole_view_extraction(classes, root, cost_of, banned=()):
 
 
 def reference_plan_join(atoms: list, consts: tuple, var_slots: list) -> dict:
-    """`views.plan_join` as a scan: each visited atom looks at every atom
+    """`rewrite.plan_join` as a scan: each visited atom looks at every atom
     for its neighbours, so a plan takes time quadratic in the atoms.
 
     A static join plan for each non-constant atom of a compiled query

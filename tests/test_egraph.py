@@ -8,6 +8,7 @@ from ctxsat.errors import (
     DuplicateSymbol,
     NegativeArity,
     NotALattice,
+    UnknownContext,
     UnknownNode,
     UnknownSymbol,
 )
@@ -75,6 +76,35 @@ def test_bad_ids_raise_at_every_entry_point(bad):
         eg.add_node(mul, (x,))
     assert len(eg.uf) == 1 and eg.uf.total_unions() == 0
 
+
+def test_a_bool_is_neither_a_context_id_nor_a_node_id():
+    """`True` and `False` equal the ids 1 and 0, but name no context and no
+    node: every public entry point rejects them, as any other non-id, and
+    changes nothing."""
+    eg = EGraph()
+    then = eg.declare_context("then", {BOTTOM})
+    f, _, _ = (eg.declare_function(name, arity) for name, arity in (("f", 1), ("a", 0), ("b", 0)))
+    a, b = eg.intern(term("a")), eg.intern(term("b"))
+    assert (then, a, b) == (True, False, True)
+    for bad in (True, False):
+        for call in (
+            lambda: eg.find(bad, a),
+            lambda: eg.lattice.name(bad),
+            lambda: eg.lattice.leq(BOTTOM, bad),
+            lambda: eg.merge(bad, a, b),
+            lambda: eg.equiv(bad, a, a),
+        ):
+            with pytest.raises(UnknownContext):
+                call()
+        for call in (
+            lambda: eg.find(BOTTOM, bad),
+            lambda: eg.equiv(BOTTOM, bad, bad),
+            lambda: eg.merge(then, a, bad),
+            lambda: eg.add_node(f, (bad,)),
+        ):
+            with pytest.raises(UnknownNode):
+                call()
+    assert len(eg.uf) == 2 and eg.uf.total_unions() == 0
 
 def test_nodes_and_symbols_are_values():
     f, f2 = FunctionSymbol("f", 2), FunctionSymbol("f", 2)

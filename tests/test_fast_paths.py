@@ -2,18 +2,18 @@
 
 `EGraph._instantiate` adds a right-hand side's stored nodes by a probe of
 the node store, and `Engine.apply_scopes` skips the classes from which no
-construct can be reached (`scopes._reach`). Forcing both back to the plain
-path, every step through `_add` and a walk over every class, must leave
-`scripts/fingerprint.py`'s digests of every program unchanged.
+construct can be reached (`CanonicalView.reach`). Forcing both back to the
+plain path, every step through `_add` and a walk over every class, must
+leave `scripts/fingerprint.py`'s digests of every program unchanged.
 """
 
 import itertools
 import sys
 from pathlib import Path
 
-from ctxsat import scopes
 from ctxsat.corpus import CORPUS_NAMES, corpus_source
 from ctxsat.egraph import EGraph
+from ctxsat.views import CanonicalView
 
 from test_rewrite import random_rewrite_program
 
@@ -69,15 +69,15 @@ class CountedReach(set):
 
 def test_probed_applications_and_the_pruned_walk_change_no_digest(monkeypatch):
     sources = families()
-    reach = scopes._reach
+    reach = CanonicalView.reach
     skipped = {}
     fast = {}
     for name, family in sources.items():
         CountedReach.skipped = 0
-        monkeypatch.setattr(scopes, "_reach", lambda v, s: CountedReach(reach(v, s)))
+        monkeypatch.setattr(CanonicalView, "reach", lambda v, s: CountedReach(reach(v, s)))
         fast[name] = [fingerprint.digests(source) for source in family]
         skipped[name] = CountedReach.skipped
-    monkeypatch.setattr(scopes, "_reach", every_class)
+    monkeypatch.setattr(CanonicalView, "reach", every_class)
     monkeypatch.setattr(EGraph, "_instantiate", through_add)
     for name, family in sources.items():
         for i, source in enumerate(family):

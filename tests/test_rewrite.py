@@ -1176,10 +1176,11 @@ def test_lambda_lifts_by_a_stored_leaf_as_by_extraction(monkeypatch):
 
 def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
     """A rule visit that returns early, as idle (no row of the query's
-    symbols logged since its last visit) or as absent (its root's arguments
-    are constants and the view holds no such row), leaves each run as the
-    full join would: with the idle test forced to say no, and every rule
-    compiled as if its root had a variable argument, every digest of
+    symbols logged since its last visit: `CanonicalView.moved` is false) or
+    as absent (its root's arguments are constants and the view names no
+    `CanonicalView.holder` of that row), leaves each run as the full join
+    would: with `moved` forced to say yes, and every rule compiled as if
+    its root had a variable argument, every digest of
     `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
     of depth 2 to 4, the towers of depth 4 to 6, `ac_op(3, j)` and 200
     random rewrite programs. The idle test is taken on each family."""
@@ -1202,17 +1203,17 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
         sources[f"random-{seed}"] = "random", random_rewrite_program(seed)[0]
     taken = {"idle": set(), "absent": set()}
     family = [None]
-    idle, root_row = rewrite._idle, rewrite._root_row
+    moved, holder = CanonicalView.moved, CanonicalView.holder
 
-    def counted_idle(*args):
-        got = idle(*args)
-        if got:
+    def counted_moved(*args):
+        got = moved(*args)
+        if not got:
             taken["idle"].add(family[0])
         return got
 
-    def counted_root_row(*args):
-        got = root_row(*args)
-        if got[1] is None:
+    def counted_holder(*args):
+        got = holder(*args)
+        if got is None:
             taken["absent"].add(family[0])
         return got
 
@@ -1223,10 +1224,10 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
             out[label] = fingerprint.digests(source)
         return out
 
-    monkeypatch.setattr(rewrite, "_idle", counted_idle)
-    monkeypatch.setattr(rewrite, "_root_row", counted_root_row)
+    monkeypatch.setattr(CanonicalView, "moved", counted_moved)
+    monkeypatch.setattr(CanonicalView, "holder", counted_holder)
     fast = digests()
-    monkeypatch.setattr(rewrite, "_idle", lambda *args: False)
+    monkeypatch.setattr(CanonicalView, "moved", lambda *args: True)
     compile_ = rewrite._compile
     monkeypatch.setattr(rewrite, "_compile", lambda p: compile_(p)._replace(ground=None))
     assert digests() == fast
@@ -1237,9 +1238,10 @@ def test_idle_test_and_ground_probe_change_no_run(monkeypatch):
 
 def test_a_ground_rules_root_row_decides_its_visit_as_the_join_would(monkeypatch):
     """A rule whose root's arguments are all constants is answered from its
-    one root row's `_sig` entry when the view reports no clash (`_root_row`),
-    a delta visit only if that row was logged since (`CanonicalView._logged`). Compiled without that
-    knowledge, every such rule joins instead, and every digest of
+    one root row's class (`CanonicalView.holder`) when the view reports no
+    clash, a delta visit only if that row was logged since
+    (`CanonicalView._logged`). Compiled without that knowledge, every such
+    rule joins instead, and every digest of
     `scripts/fingerprint.py` is the same, on the corpora, the lambda chains
     of depth 2 to 4 and 200 random rewrite programs. Both outcomes of the
     delta test are taken."""

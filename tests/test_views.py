@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from ctxsat.dsl import run_source
 from ctxsat.egraph import ENode, FunctionSymbol, node_key
 from ctxsat import rewrite
-from ctxsat.rewrite import PatternApp, PatternVar, Rule
-from ctxsat.views import OnTheFlyProvider, plan_join
+from ctxsat.rewrite import PatternApp, PatternVar, Rule, plan_join
+from ctxsat.views import OnTheFlyProvider
 
 from oracles import (
     naive_contextual_congruence,
